@@ -39,9 +39,27 @@ func (r *rng) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+// intn returns a draw in [0, n): the next output reduced modulo n, by a
+// mask when n is a power of two.
+func (r *rng) intn(n int) int {
+	if n&(n-1) == 0 {
+		return int(r.next() & uint64(n-1))
+	}
+	return int(r.next() % uint64(n))
+}
 
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
+
+// floatBelow returns the integer k such that r.float() < t exactly when
+// r.next()>>11 < k. float() is k'/2^53 for a 53-bit integer k', and t*2^53
+// is exact (a power-of-two scaling), so the comparison carries over to the
+// integers without rounding.
+func floatBelow(t float64) uint64 { return uint64(math.Ceil(t * (1 << 53))) }
+
+// less returns 1 if a < b and 0 otherwise, for a, b < 2^63, without a
+// branch: the generators' hot loops compare random draws against
+// thresholds, an outcome no branch predictor can learn.
+func less(a, b uint64) uint64 { return (a - b) >> 63 }
 
 // fromEdgeList builds a CSR graph from (src, dst) pairs.
 func fromEdgeList(n int, src, dst []uint32) *Graph {
@@ -75,22 +93,18 @@ func Kronecker(scale, edgeFactor int, seed uint64) *Graph {
 	r := rng{s: seed}
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
+	// Each bit pair picks a quadrant: top-left (neither bit) below a, top-
+	// right (v) below a+b, bottom-left (u) below a+b+c, bottom-right (both)
+	// above.
 	const a, b, c = 0.57, 0.19, 0.19
+	tA, tAB, tABC := floatBelow(a), floatBelow(a+b), floatBelow(a+b+c)
 	for i := 0; i < m; i++ {
-		var u, v int
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.float()
-			switch {
-			case p < a:
-				// top-left: neither bit set
-			case p < a+b:
-				v |= 1 << uint(bit)
-			case p < a+b+c:
-				u |= 1 << uint(bit)
-			default:
-				u |= 1 << uint(bit)
-				v |= 1 << uint(bit)
-			}
+		var u, v uint64
+		for bit := 0; bit < scale; bit++ {
+			k := r.next() >> 11
+			geA, geAB, geABC := 1^less(k, tA), 1^less(k, tAB), 1^less(k, tABC)
+			u = u<<1 | geAB
+			v = v<<1 | (geA ^ geAB ^ geABC)
 		}
 		src[i] = uint32(u)
 		dst[i] = uint32(v)
@@ -122,24 +136,28 @@ func Uniform(n, m int, seed uint64) *Graph {
 func PowerLaw(n, m int, alpha float64, seed uint64) *Graph {
 	r := rng{s: seed}
 	s := 1.0 / (alpha - 1.0)
-	cum := make([]float64, n)
+	// cum holds the cumulative rank weights below the last rank as IEEE
+	// bit patterns: the weights are positive, so the patterns order like
+	// the values and the pick's search compares integers, branch-free.
+	cum := make([]uint64, n-1)
 	total := 0.0
 	for rank := 0; rank < n; rank++ {
 		total += math.Pow(float64(rank+1), -s)
-		cum[rank] = total
-	}
-	pick := func() uint32 {
-		u := r.float() * total
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < u {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		if rank < n-1 {
+			cum[rank] = math.Float64bits(total)
 		}
-		return uint32(lo)
+	}
+	// pick returns the first rank whose cumulative weight reaches u, or the
+	// last rank when none below it does.
+	pick := func() uint32 {
+		u := math.Float64bits(r.float() * total)
+		base, size := 0, len(cum)
+		for size > 0 {
+			half := size / 2
+			base += int(-less(cum[base+half], u) & uint64(size-half))
+			size = half
+		}
+		return uint32(base)
 	}
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
@@ -184,21 +202,33 @@ func (p Params) Label() string {
 	return p.Gen
 }
 
+// MaxVertices and MaxEdges bound the graphs Validate accepts: far above
+// Table 2's largest input (70k vertices, 1.7M edges), yet small enough
+// that a description arriving off the wire cannot make a worker allocate
+// without bound. MaxVertices also keeps every vertex id within the uint32
+// the generators draw them as.
+const (
+	MaxVertices = 1 << maxScale
+	MaxEdges    = 1 << 25
+
+	maxScale = 24 // kronecker
+)
+
 // Validate checks that the parameters describe a generatable graph without
 // generating it.
 func (p Params) Validate() error {
 	switch p.Gen {
 	case GenKronecker:
-		if p.Scale <= 0 || p.Scale > 24 || p.EdgeFactor <= 0 {
-			return fmt.Errorf("graphgen: kronecker needs 0 < scale <= 24 and edge_factor > 0 (got scale=%d edge_factor=%d)", p.Scale, p.EdgeFactor)
+		if p.Scale <= 0 || p.Scale > maxScale || p.EdgeFactor <= 0 || p.EdgeFactor > MaxEdges>>p.Scale {
+			return fmt.Errorf("graphgen: kronecker needs 0 < scale <= %d and 0 < 2^scale*edge_factor <= %d (got scale=%d edge_factor=%d)", maxScale, MaxEdges, p.Scale, p.EdgeFactor)
 		}
 	case GenUniform:
-		if p.N <= 0 || p.M <= 0 {
-			return fmt.Errorf("graphgen: uniform needs n > 0 and m > 0 (got n=%d m=%d)", p.N, p.M)
+		if p.N <= 0 || p.M <= 0 || p.N > MaxVertices || p.M > MaxEdges {
+			return fmt.Errorf("graphgen: uniform needs 0 < n <= %d and 0 < m <= %d (got n=%d m=%d)", MaxVertices, MaxEdges, p.N, p.M)
 		}
 	case GenPowerLaw:
-		if p.N <= 0 || p.M <= 0 || p.Alpha <= 1 {
-			return fmt.Errorf("graphgen: powerlaw needs n > 0, m > 0 and alpha > 1 (got n=%d m=%d alpha=%g)", p.N, p.M, p.Alpha)
+		if p.N <= 0 || p.M <= 0 || p.N > MaxVertices || p.M > MaxEdges || p.Alpha <= 1 {
+			return fmt.Errorf("graphgen: powerlaw needs 0 < n <= %d, 0 < m <= %d and alpha > 1 (got n=%d m=%d alpha=%g)", MaxVertices, MaxEdges, p.N, p.M, p.Alpha)
 		}
 	default:
 		return fmt.Errorf("graphgen: unknown generator %q", p.Gen)

@@ -173,3 +173,41 @@ func TestDegreeAccessor(t *testing.T) {
 		t.Errorf("degrees: %d, %d", g.Degree(0), g.Degree(1))
 	}
 }
+
+func TestValidateBoundsGraphSize(t *testing.T) {
+	for _, in := range append(Table2Inputs(), SmallInputs()...) {
+		if err := in.Params.Validate(); err != nil {
+			t.Errorf("%s: %v", in.Name, err)
+		}
+	}
+	atCap := []Params{
+		{Gen: GenKronecker, Scale: 24, EdgeFactor: 2},
+		{Gen: GenKronecker, Scale: 1, EdgeFactor: MaxEdges / 2},
+		{Gen: GenUniform, N: MaxVertices, M: MaxEdges},
+		{Gen: GenPowerLaw, N: MaxVertices, M: MaxEdges, Alpha: 2},
+	}
+	for _, p := range atCap {
+		if err := p.Validate(); err != nil {
+			t.Errorf("%+v at the caps: %v", p, err)
+		}
+	}
+	over := []Params{
+		{Gen: GenKronecker, Scale: 24, EdgeFactor: 100_000},
+		{Gen: GenKronecker, Scale: 24, EdgeFactor: 3},
+		{Gen: GenKronecker, Scale: 25, EdgeFactor: 1},
+		{Gen: GenKronecker, Scale: 16, EdgeFactor: 1 << 62},
+		{Gen: GenUniform, N: 1000, M: MaxEdges + 1},
+		{Gen: GenUniform, N: MaxVertices + 1, M: 1000},
+		{Gen: GenUniform, N: 1<<32 + 1, M: 1000},
+		{Gen: GenPowerLaw, N: 1000, M: MaxEdges + 1, Alpha: 2},
+		{Gen: GenPowerLaw, N: 1<<32 + 1, M: 1000, Alpha: 2},
+	}
+	for _, p := range over {
+		if p.Validate() == nil {
+			t.Errorf("%+v: accepted beyond the caps", p)
+		}
+		if _, err := p.Generate(); err == nil {
+			t.Errorf("%+v: generated beyond the caps", p)
+		}
+	}
+}

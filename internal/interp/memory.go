@@ -96,34 +96,68 @@ func (m *Memory) Store64(addr, val uint64) {
 // ownPage returns a writable page for pn, copying it from the base image
 // (copy-on-write) or creating it, and caches the translation.
 func (m *Memory) ownPage(pn uint64) *page {
-	if m.pages == nil {
-		m.pages = make(map[uint64]*page)
-	}
 	p, owned := m.find(pn)
-	switch {
-	case p == nil:
-		p = new(page)
-		m.pages[pn] = p
-	case !owned:
-		cp := new(page)
-		*cp = *p
-		m.pages[pn] = cp
-		p = cp
+	if !owned {
+		p = m.adopt(pn, p, new(page))
 	}
 	m.tlb[pn&tlbMask] = tlbEntry{pn: pn, p: p, owned: true}
 	return p
 }
 
-// StoreSlice writes vals as consecutive 64-bit words starting at addr,
-// filling whole pages at a time.
-func (m *Memory) StoreSlice(addr uint64, vals []uint64) {
-	for len(vals) > 0 {
-		p := m.ownPage(addr >> pageShift)
-		idx := (addr & pageMask) >> 3
-		n := copy(p[idx:], vals)
-		vals = vals[n:]
-		addr += uint64(n) * 8
+// adopt installs fresh as m's own page pn, seeded with the contents of the
+// inherited page when pn comes from the base image.
+func (m *Memory) adopt(pn uint64, inherited, fresh *page) *page {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*page)
 	}
+	if inherited != nil {
+		*fresh = *inherited
+	}
+	m.pages[pn] = fresh
+	return fresh
+}
+
+// Fill writes the run of n consecutive 64-bit words starting at addr in
+// place: fn is called once per page the run touches, in address order,
+// with dst the run's words within that page (holding their current
+// contents) and i the index of dst[0] within the run. Every page the run
+// does not yet own — absent, or inherited from the base image and so
+// copied first — comes from one slab allocated for the whole run, not one
+// allocation per page. Fill is the one path that writes a run of words:
+// StoreSlice and the workload image builders are expressed on it.
+func (m *Memory) Fill(addr uint64, n int, fn func(dst []uint64, i int)) {
+	if n <= 0 {
+		return
+	}
+	addr &^= 7
+	first, last := addr>>pageShift, (addr+uint64(n)*8-1)>>pageShift
+	unowned := 0
+	for pn := first; pn <= last; pn++ {
+		if _, owned := m.find(pn); !owned {
+			unowned++
+		}
+	}
+	slab := make([]page, unowned)
+	for pn, i := first, 0; pn <= last; pn++ {
+		p, owned := m.find(pn)
+		if !owned {
+			p = m.adopt(pn, p, &slab[0])
+			slab = slab[1:]
+		}
+		m.tlb[pn&tlbMask] = tlbEntry{pn: pn, p: p, owned: true}
+		lo := (addr & pageMask) >> 3
+		if pn != first {
+			lo = 0
+		}
+		hi := min(uint64(pageWords), lo+uint64(n-i))
+		fn(p[lo:hi], i)
+		i += int(hi - lo)
+	}
+}
+
+// StoreSlice writes vals as consecutive 64-bit words starting at addr.
+func (m *Memory) StoreSlice(addr uint64, vals []uint64) {
+	m.Fill(addr, len(vals), func(dst []uint64, i int) { copy(dst, vals[i:]) })
 }
 
 // Footprint returns the number of bytes of memory touched (page granular),

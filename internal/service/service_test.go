@@ -211,6 +211,37 @@ func TestMalformedRequestsReturn400(t *testing.T) {
 	}
 }
 
+// TestOversizedGraphReturnsTypedBadRequest: graph descriptions beyond the
+// generator caps are refused with a typed 400 before any worker allocates
+// the graph, on the single-cell and the batch path alike.
+func TestOversizedGraphReturnsTypedBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	graphs := []graphgen.Params{
+		{Gen: graphgen.GenKronecker, Scale: 24, EdgeFactor: 100_000, Seed: 1},
+		{Gen: graphgen.GenUniform, N: 1 << 20, M: 1 << 40, Seed: 1},
+		{Gen: graphgen.GenPowerLaw, N: 1<<32 + 1, M: 1 << 20, Alpha: 2, Seed: 1},
+	}
+	for i, g := range graphs {
+		ref := workloads.Ref{Kernel: "bfs", Graph: &g}
+		for _, call := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/sim", api.SimRequest{Workload: ref, Technique: "ooo"}},
+			{"/v1/batch", api.BatchRequest{Workloads: []workloads.Ref{ref}, Techniques: []string{"ooo"}}},
+		} {
+			resp, body := postJSON(t, ts.URL+call.path, call.body)
+			var e api.Error
+			if err := json.Unmarshal(body, &e); err != nil {
+				t.Fatalf("case %d %s: undecodable body %q: %v", i, call.path, body, err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || e.Code != api.CodeBadRequest {
+				t.Errorf("case %d %s: %s code %q, want 400 %q: %s", i, call.path, resp.Status, e.Code, api.CodeBadRequest, body)
+			}
+		}
+	}
+}
+
 func TestBatchCacheAccountsEveryCell(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := api.BatchRequest{

@@ -176,17 +176,23 @@ func CC(g *graphgen.Graph) *Workload {
 	srcA := a.alloc(mEdges)
 	dstA := a.alloc(mEdges)
 	comp := a.alloc(g.N)
-	i := 0
-	for v := 0; v < g.N; v++ {
-		for e := g.Offsets[v]; e < g.Offsets[v+1]; e++ {
-			m.Store64(srcA+uint64(i)*8, uint64(v))
-			m.Store64(dstA+uint64(i)*8, g.Edges[e])
-			i++
+	// The edge list in CSR order: src[e] is the vertex whose edge range
+	// holds e, dst is the CSR edge array itself.
+	v := 0
+	m.Fill(srcA, mEdges, func(dst []uint64, e int) {
+		for j := range dst {
+			for g.Offsets[v+1] <= uint64(e+j) {
+				v++
+			}
+			dst[j] = uint64(v)
 		}
-	}
-	for v := 0; v < g.N; v++ {
-		m.Store64(comp+uint64(v)*8, uint64(v))
-	}
+	})
+	m.StoreSlice(dstA, g.Edges)
+	m.Fill(comp, g.N, func(dst []uint64, v int) {
+		for j := range dst {
+			dst[j] = uint64(v + j)
+		}
+	})
 
 	b := isa.NewBuilder("cc")
 	b.Li(R1, 0)
@@ -282,10 +288,12 @@ func SSSP(g *graphgen.Graph) *Workload {
 	m.StoreSlice(edges, g.Edges)
 	weightsOff := int64(mEdges) * 8
 	s := uint64(77)
-	for j := 0; j < mEdges; j++ {
-		s = isa.Mix64(s)
-		m.Store64(edges+uint64(weightsOff)+uint64(j)*8, 1+s%16)
-	}
+	m.Fill(edges+uint64(weightsOff), mEdges, func(dst []uint64, _ int) {
+		for j := range dst {
+			s = isa.Mix64(s)
+			dst[j] = 1 + s%16
+		}
+	})
 	dist := a.alloc(g.N)
 	const inf = int64(1) << 40
 	fill(m, dist, g.N, uint64(inf))

@@ -128,25 +128,26 @@ func maxDegreeVertex(g *graphgen.Graph) int {
 
 // fill writes n words of val starting at base.
 func fill(m *interp.Memory, base uint64, n int, val uint64) {
-	for i := 0; i < n; i++ {
-		m.Store64(base+uint64(i)*8, val)
-	}
+	m.Fill(base, n, func(dst []uint64, _ int) {
+		for j := range dst {
+			dst[j] = val
+		}
+	})
 }
 
-// randWords fills n words with deterministic pseudo-random values, reduced
-// modulo mod when mod is nonzero.
-func randWords(m *interp.Memory, base uint64, n int, seed uint64, mod uint64) {
-	vals := make([]uint64, n)
+// randWords fills n words with deterministic pseudo-random values, masked
+// with mask (all ones keeps every bit). The values are generated straight
+// into the image's pages.
+func randWords(m *interp.Memory, base uint64, n int, seed, mask uint64) {
 	s := seed
-	for i := range vals {
-		s = isa.Mix64(s + uint64(i))
-		v := s
-		if mod != 0 {
-			v %= mod
+	m.Fill(base, n, func(dst []uint64, i int) {
+		x := s
+		for j := range dst {
+			x = isa.Mix64(x + uint64(i+j))
+			dst[j] = x & mask
 		}
-		vals[i] = v
-	}
-	m.StoreSlice(base, vals)
+		s = x
+	})
 }
 
 // emitHash emits an inlined multi-instruction integer mix of r (two
