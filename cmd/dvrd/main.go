@@ -155,7 +155,7 @@ func main() {
 
 	switch *role {
 	case "single", "worker":
-		runServer(*role, *addr, service.Config{
+		srv := service.New(service.Config{
 			Workers:            *workers,
 			QueueDepth:         *queue,
 			CacheEntries:       *cacheN,
@@ -171,11 +171,30 @@ func main() {
 			StreamHeartbeat:    *strHB,
 			TraceSpans:         *spans,
 			ProcName:           *role + "@" + *addr,
-		}, *drain, *drainGrace)
+		})
+		if *cacheDir != "" {
+			h := srv.SpillHealth()
+			fmt.Printf("dvrd: spill scan: %d entries, %d healthy, %d quarantined\n",
+				h.Scanned, h.Healthy, h.Quarantined)
+		}
+		if *ckptN > 0 {
+			ch := srv.CheckpointHealth()
+			fmt.Printf("dvrd: checkpoint scan: %d journals, %d healthy, %d quarantined, %d dropped\n",
+				ch.Scanned, ch.Healthy, ch.Quarantined, ch.Dropped)
+			if len(ch.Pending) > 0 {
+				fmt.Printf("dvrd: resuming %d interrupted job(s) in the background\n", len(ch.Pending))
+			}
+		}
+		// A worker keeps serving for drainGrace after /readyz flips, so its
+		// frontend's prober notices before connections start being refused.
+		grace := time.Duration(0)
+		if *role == "worker" {
+			grace = *drainGrace
+		}
+		run(*addr, fmt.Sprintf("role %s, %d kernels registered", *role, len(workloads.Kernels())), srv, *drain, grace)
 	case "frontend":
-		reps := strings.Split(*replicas, ",")
 		var clean []string
-		for _, r := range reps {
+		for _, r := range strings.Split(*replicas, ",") {
 			if r = strings.TrimSpace(r); r != "" {
 				clean = append(clean, r)
 			}
@@ -184,7 +203,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dvrd: -role=frontend requires -replicas URL[,URL...]")
 			os.Exit(2)
 		}
-		runFrontend(*addr, service.FrontendConfig{
+		fe, err := service.NewFrontend(service.FrontendConfig{
 			Replicas:         clean,
 			ProbeInterval:    *probeIvl,
 			FailThreshold:    *failThresh,
@@ -200,7 +219,20 @@ func main() {
 			Logger:           logger,
 			TraceSpans:       *spans,
 			ProcName:         "frontend@" + *addr,
-		}, *drain)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dvrd:", err)
+			os.Exit(2)
+		}
+		if *ledgerDir != "" {
+			lh := fe.LedgerHealth()
+			fmt.Printf("dvrd: ledger scan: %d journals, %d healthy, %d quarantined, %d dropped, %d torn repaired\n",
+				lh.Scanned, lh.Healthy, lh.Quarantined, lh.Dropped, lh.Torn)
+			if len(lh.Pending) > 0 {
+				fmt.Printf("dvrd: recovering %d interrupted job(s) in the background\n", len(lh.Pending))
+			}
+		}
+		run(*addr, fmt.Sprintf("role frontend, %d replicas", len(clean)), fe, *drain, 0)
 	default:
 		fmt.Fprintf(os.Stderr, "dvrd: unknown -role %q (single, worker, frontend)\n", *role)
 		os.Exit(2)
@@ -229,31 +261,24 @@ func startPprof(addr string) {
 	}()
 }
 
-// runServer runs the single/worker role: the full simulation service. A
-// worker differs only in its shutdown choreography — it announces the
-// drain on /readyz and keeps serving for drainGrace so its frontend stops
-// routing new cells here before the listener closes.
-func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Duration) {
-	srv := service.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+// daemon is the lifecycle every role shares; service.Server and
+// service.Frontend both provide it.
+type daemon interface {
+	Handler() http.Handler
+	DumpFlight(reason string) string
+	BeginDrain()
+	Shutdown(ctx context.Context) error
+}
 
-	if cfg.CacheDir != "" {
-		h := srv.SpillHealth()
-		fmt.Printf("dvrd: spill scan: %d entries, %d healthy, %d quarantined\n",
-			h.Scanned, h.Healthy, h.Quarantined)
-	}
-	if cfg.CheckpointEvery > 0 {
-		ch := srv.CheckpointHealth()
-		fmt.Printf("dvrd: checkpoint scan: %d journals, %d healthy, %d quarantined, %d dropped\n",
-			ch.Scanned, ch.Healthy, ch.Quarantined, ch.Dropped)
-		if len(ch.Pending) > 0 {
-			fmt.Printf("dvrd: resuming %d interrupted job(s) in the background\n", len(ch.Pending))
-		}
-	}
-
+// run serves d on addr until SIGINT/SIGTERM, then shuts down gracefully:
+// seal the flight record, flip /readyz unready, keep serving for grace,
+// close the listener and drain in-flight requests, then drain d's async
+// jobs — all within the drain deadline.
+func run(addr, banner string, d daemon, drain, grace time.Duration) {
+	httpSrv := &http.Server{Addr: addr, Handler: d.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("dvrd: listening on %s (role %s, %d kernels registered)\n", addr, role, len(workloads.Kernels()))
+		fmt.Printf("dvrd: listening on %s (%s)\n", addr, banner)
 		errCh <- httpSrv.ListenAndServe()
 	}()
 
@@ -266,7 +291,7 @@ func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Dur
 		// Seal the flight record first — what the process was doing when
 		// the operator (or orchestrator) pulled the plug — while the span
 		// ring still holds the final requests.
-		if path := srv.DumpFlight("sigterm"); path != "" {
+		if path := d.DumpFlight("sigterm"); path != "" {
 			fmt.Printf("dvrd: flight record sealed at %s\n", path)
 		}
 	case err := <-errCh:
@@ -274,71 +299,14 @@ func runServer(role, addr string, cfg service.Config, drain, drainGrace time.Dur
 		os.Exit(1)
 	}
 
-	if role == "worker" && drainGrace > 0 {
-		// Flip /readyz first and give the frontend's prober a window to
-		// notice before connections start being refused; work already
-		// queued here still finishes below.
-		srv.BeginDrain()
-		time.Sleep(drainGrace)
-	}
-
+	d.BeginDrain()
+	time.Sleep(grace)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "dvrd: http shutdown:", err)
 	}
-	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "dvrd: drain:", err)
-		os.Exit(1)
-	}
-	fmt.Println("dvrd: clean shutdown")
-}
-
-// runFrontend runs the cluster router.
-func runFrontend(addr string, cfg service.FrontendConfig, drain time.Duration) {
-	fe, err := service.NewFrontend(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dvrd:", err)
-		os.Exit(2)
-	}
-	httpSrv := &http.Server{Addr: addr, Handler: fe.Handler()}
-
-	if cfg.LedgerDir != "" {
-		lh := fe.LedgerHealth()
-		fmt.Printf("dvrd: ledger scan: %d journals, %d healthy, %d quarantined, %d dropped, %d torn repaired\n",
-			lh.Scanned, lh.Healthy, lh.Quarantined, lh.Dropped, lh.Torn)
-		if len(lh.Pending) > 0 {
-			fmt.Printf("dvrd: recovering %d interrupted job(s) in the background\n", len(lh.Pending))
-		}
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("dvrd: listening on %s (role frontend, %d replicas)\n", addr, len(cfg.Replicas))
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("dvrd: %s, draining\n", sig)
-		if path := fe.DumpFlight("sigterm"); path != "" {
-			fmt.Printf("dvrd: flight record sealed at %s\n", path)
-		}
-	case err := <-errCh:
-		fmt.Fprintln(os.Stderr, "dvrd:", err)
-		os.Exit(1)
-	}
-
-	fe.BeginDrain()
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "dvrd: http shutdown:", err)
-	}
-	if err := fe.Shutdown(ctx); err != nil {
+	if err := d.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "dvrd: drain:", err)
 		os.Exit(1)
 	}

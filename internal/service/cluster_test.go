@@ -80,7 +80,7 @@ func newTestCluster(t *testing.T, n int, wcfg Config, tune func(*FrontendConfig)
 	}
 	c.fe = fe
 	c.feTS = httptest.NewServer(fe.Handler())
-	ring, err := cluster.New(urls, fcfg.VNodes)
+	ring, err := cluster.New(urls, cluster.DefaultVNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,25 +502,32 @@ func TestClusterDrainRouting(t *testing.T) {
 		roi += 1_000
 	}
 
-	rresp, rbody := getBody(t, c.wTS[0].URL+"/readyz")
-	if rresp.StatusCode != http.StatusOK || !strings.Contains(string(rbody), "ready") {
-		t.Fatalf("pre-drain readyz: %s %q", rresp.Status, rbody)
-	}
-	c.workers[0].BeginDrain()
-	rresp, rbody = getBody(t, c.wTS[0].URL+"/readyz")
-	if rresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining readyz: %s %q", rresp.Status, rbody)
-	}
-	var rerr api.Error
-	if err := json.Unmarshal(rbody, &rerr); err != nil || rerr.Code != api.CodeShuttingDown || !strings.Contains(rerr.Error, "draining") {
-		t.Fatalf("draining readyz body not typed: %q (%v)", rbody, err)
-	}
-	if rresp.Header.Get("Retry-After") == "" {
-		t.Error("draining readyz sets no Retry-After")
-	}
-	hresp, _ := getBody(t, c.wTS[0].URL+"/healthz")
-	if hresp.StatusCode != http.StatusOK {
-		t.Errorf("healthz = %s while draining, want 200 (liveness is not readiness)", hresp.Status)
+	// Both roles drain the same way; a draining frontend still routes the
+	// requests that reach it, so the routing check below is unaffected.
+	for _, role := range []struct {
+		name, url string
+		drain     func()
+	}{{"worker", c.wTS[0].URL, c.workers[0].BeginDrain}, {"frontend", c.feTS.URL, c.fe.BeginDrain}} {
+		rresp, rbody := getBody(t, role.url+"/readyz")
+		if rresp.StatusCode != http.StatusOK || !strings.Contains(string(rbody), "ready") {
+			t.Fatalf("%s pre-drain readyz: %s %q", role.name, rresp.Status, rbody)
+		}
+		role.drain()
+		rresp, rbody = getBody(t, role.url+"/readyz")
+		if rresp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s draining readyz: %s %q", role.name, rresp.Status, rbody)
+		}
+		var rerr api.Error
+		if err := json.Unmarshal(rbody, &rerr); err != nil || rerr.Code != api.CodeShuttingDown || !strings.Contains(rerr.Error, "draining") {
+			t.Fatalf("%s draining readyz body not typed: %q (%v)", role.name, rbody, err)
+		}
+		if rresp.Header.Get("Retry-After") == "" {
+			t.Errorf("%s draining readyz sets no Retry-After", role.name)
+		}
+		hresp, _ := getBody(t, role.url+"/healthz")
+		if hresp.StatusCode != http.StatusOK {
+			t.Errorf("%s healthz = %s while draining, want 200 (liveness is not readiness)", role.name, hresp.Status)
+		}
 	}
 
 	deadline := time.Now().Add(10 * time.Second)

@@ -106,7 +106,7 @@ func (s *Server) simulate(ctx context.Context, key string, spec workloads.Spec, 
 		// wedge into the span ring, then seal the ring beside the pipeline
 		// forensics so the dump shows what the fleet was doing around it.
 		s.tracer.Event(obs.FromContext(ctx).TraceID(), "livelock", le.Error())
-		s.dumpFlight("livelock")
+		s.DumpFlight("livelock")
 		if s.ckpts != nil {
 			// The wedge is deterministic; resuming near it would only trip
 			// the watchdog again at the same instruction.

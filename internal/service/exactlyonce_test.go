@@ -454,51 +454,69 @@ func TestIdempotencyKeyRace(t *testing.T) {
 }
 
 // TestIdempotencyKeyConflictRejected: reusing a key for a different batch
-// is a loud 400, not silent service of unrelated results.
+// is a loud 400 on both roles, not silent service of unrelated results.
 func TestIdempotencyKeyConflictRejected(t *testing.T) {
-	c := newTestCluster(t, 1, Config{}, nil)
-	one := api.BatchRequest{Workloads: []workloads.Ref{loopRef(24_000)}, Techniques: []string{"ooo"}, Async: true}
-	resp, acc, body := postBatchIdem(t, c.feTS.URL, "conflict-key", one)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: %s: %s", resp.Status, body)
+	check := func(t *testing.T, base string) {
+		one := api.BatchRequest{Workloads: []workloads.Ref{loopRef(24_000)}, Techniques: []string{"ooo"}, Async: true}
+		resp, acc, body := postBatchIdem(t, base, "conflict-key", one)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("first submit: %s: %s", resp.Status, body)
+		}
+		two := api.BatchRequest{Workloads: []workloads.Ref{loopRef(24_000)}, Techniques: []string{"ooo", "dvr"}, Async: true}
+		resp, _, body = postBatchIdem(t, base, "conflict-key", two)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("conflicting reuse: %s (want 400): %s", resp.Status, body)
+		}
+		var apiErr api.Error
+		if err := json.Unmarshal(body, &apiErr); err != nil || apiErr.Code != api.CodeBadRequest {
+			t.Errorf("conflict error = %+v (err %v), want code %s", apiErr, err, api.CodeBadRequest)
+		}
+		waitJobState(t, base, acc.JobID)
 	}
-	two := api.BatchRequest{Workloads: []workloads.Ref{loopRef(24_000)}, Techniques: []string{"ooo", "dvr"}, Async: true}
-	resp, _, body = postBatchIdem(t, c.feTS.URL, "conflict-key", two)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicting reuse: %s (want 400): %s", resp.Status, body)
-	}
-	var apiErr api.Error
-	if err := json.Unmarshal(body, &apiErr); err != nil || apiErr.Code != api.CodeBadRequest {
-		t.Errorf("conflict error = %+v (err %v), want code %s", apiErr, err, api.CodeBadRequest)
-	}
-	waitJobState(t, c.feTS.URL, acc.JobID)
+	t.Run("worker", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{})
+		check(t, ts.URL)
+	})
+	t.Run("frontend", func(t *testing.T) {
+		c := newTestCluster(t, 1, Config{}, nil)
+		check(t, c.feTS.URL)
+	})
 }
 
 // TestSyncIdempotentDuplicateServesOriginal: a synchronous resubmission
 // of a key owned by an async job waits for that job and serves its
-// outcome, flagged deduped.
+// outcome, flagged deduped — on both roles, with the cell simulated once.
 func TestSyncIdempotentDuplicateServesOriginal(t *testing.T) {
-	c := newTestCluster(t, 1, Config{}, nil)
-	req := api.BatchRequest{Workloads: []workloads.Ref{loopRef(25_000)}, Techniques: []string{"ooo"}, Async: true}
-	resp, acc, body := postBatchIdem(t, c.feTS.URL, "sync-dup", req)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async submit: %s: %s", resp.Status, body)
+	check := func(t *testing.T, base string, worker *Server) {
+		req := api.BatchRequest{Workloads: []workloads.Ref{loopRef(25_000)}, Techniques: []string{"ooo"}, Async: true}
+		resp, acc, body := postBatchIdem(t, base, "sync-dup", req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("async submit: %s: %s", resp.Status, body)
+		}
+		sync := req
+		sync.Async = false
+		resp, got, body := postBatchIdem(t, base, "sync-dup", sync)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sync duplicate: %s: %s", resp.Status, body)
+		}
+		if !got.Deduped || got.JobID != acc.JobID {
+			t.Errorf("sync duplicate deduped=%v job=%s, want deduped against %s", got.Deduped, got.JobID, acc.JobID)
+		}
+		if len(got.Cells) != 1 || got.Cells[0].Error != nil {
+			t.Fatalf("sync duplicate cells = %+v", got.Cells)
+		}
+		if misses := worker.Metrics().CacheMisses; misses != 1 {
+			t.Errorf("cell simulated %d times, want 1", misses)
+		}
 	}
-	sync := req
-	sync.Async = false
-	resp, got, body := postBatchIdem(t, c.feTS.URL, "sync-dup", sync)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sync duplicate: %s: %s", resp.Status, body)
-	}
-	if !got.Deduped || got.JobID != acc.JobID {
-		t.Errorf("sync duplicate deduped=%v job=%s, want deduped against %s", got.Deduped, got.JobID, acc.JobID)
-	}
-	if len(got.Cells) != 1 || got.Cells[0].Error != nil {
-		t.Fatalf("sync duplicate cells = %+v", got.Cells)
-	}
-	if misses := c.workers[0].Metrics().CacheMisses; misses != 1 {
-		t.Errorf("cell simulated %d times, want 1", misses)
-	}
+	t.Run("worker", func(t *testing.T) {
+		srv, ts := newTestServer(t, Config{})
+		check(t, ts.URL, srv)
+	})
+	t.Run("frontend", func(t *testing.T) {
+		c := newTestCluster(t, 1, Config{}, nil)
+		check(t, c.feTS.URL, c.workers[0])
+	})
 }
 
 // TestDeadlineBudgetRejectsDoomed: a request whose propagated deadline

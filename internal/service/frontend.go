@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,15 +15,12 @@ import (
 	"time"
 
 	"dvr/internal/cluster"
-	"dvr/internal/cpu"
-	"dvr/internal/experiments"
 	"dvr/internal/faults"
 	"dvr/internal/ledger"
 	"dvr/internal/obs"
 	"dvr/internal/service/api"
 	"dvr/internal/service/client"
 	"dvr/internal/stream"
-	"dvr/internal/workloads"
 )
 
 // The cluster frontend: a stateless router that terminates client
@@ -34,18 +30,11 @@ import (
 // cache hits and single-flight collapsing stay local to one replica — and
 // the ring's successor order doubles as the failover order: when a worker
 // dies mid-batch, its unfinished cells re-route to the next live replica,
-// whose runCell resumes the dead worker's journaled checkpoint from the
+// whose Server.run resumes the dead worker's journaled checkpoint from the
 // shared durable directory (DESIGN.md, "Cluster architecture"). The
 // frontend holds no simulation state of its own; everything it serves is
 // reconstructed from worker responses, which is what makes a frontend
 // restart free.
-
-// errNoReplica is the routing dead end: every candidate replica for a key
-// was tried and failed at the transport level. It maps to 503 +
-// Retry-After — a fleet-wide outage is transient from the client's view
-// (workers restart, partitions heal), so the retrying client keeps its
-// budget working.
-var errNoReplica = errors.New("service: no live replica")
 
 // FrontendConfig sizes the frontend.
 type FrontendConfig struct {
@@ -54,9 +43,6 @@ type FrontendConfig struct {
 	// membership changes are a restart (the ring is deterministic in the
 	// set, so every frontend replica agrees on ownership).
 	Replicas []string
-	// VNodes is the consistent-hash virtual-node count per replica; 0
-	// means cluster.DefaultVNodes.
-	VNodes int
 	// ProbeInterval is the per-replica heartbeat period; 0 means 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one readiness probe; 0 means half the interval.
@@ -117,105 +103,79 @@ type FrontendConfig struct {
 	ProcName string
 }
 
-func (c FrontendConfig) withDefaults() FrontendConfig {
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = 15 * time.Second
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return c
-}
-
-// Frontend is the cluster router. Construct with NewFrontend, mount
+// Frontend is the cluster router: the serving core over the remote
+// executor — ring routing, the health prober, per-replica circuit
+// breakers and straggler hedges. Construct with NewFrontend, mount
 // Handler, and call Shutdown to drain.
 type Frontend struct {
-	cfg         FrontendConfig
-	ring        *cluster.Ring
-	prober      *cluster.Prober
-	breakers    *cluster.Breakers
-	clients     map[string]*client.Client
-	flight      *flightGroup[api.SimResponse]
-	batchFlight *flightGroup[*api.BatchResponse]
-	jobs        *jobStore
-	streams     *stream.Registry
+	*core
+	cfg      FrontendConfig
+	ring     *cluster.Ring
+	prober   *cluster.Prober
+	breakers *cluster.Breakers
+	clients  map[string]*client.Client
+	flight   *flightGroup[api.SimResponse]
 
-	// ledger is the durable journal of accepted async jobs (nil when
-	// LedgerDir is empty); ledgerHealth is the boot-time scan verdict.
-	ledger       *ledger.Store
+	// ledgerHealth is the boot-time ledger scan verdict (zero when
+	// LedgerDir is empty).
 	ledgerHealth ledger.Health
 
-	// rootCtx parents every async job, so jobs survive their accepting
-	// request but die with the frontend (Abort cancels it).
-	rootCtx    context.Context
-	rootCancel context.CancelFunc
-
-	logger   *slog.Logger
-	reqSeq   atomic.Uint64
-	reqTotal atomic.Uint64
-	reqHist  *histogram
-
-	// tracer is the distributed-tracing span collector (nil when
-	// disabled); dispatchHist is the per-outcome latency of one
-	// frontend→worker dispatch attempt (dvrd_dispatch_attempt_seconds).
-	tracer       *obs.Tracer
+	// dispatchHist is the per-outcome latency of one frontend→worker
+	// dispatch attempt (dvrd_dispatch_attempt_seconds).
 	dispatchHist map[string]*histogram
-
-	start    time.Time
-	draining atomic.Bool
 
 	routed            atomic.Uint64 // cells routed to a replica and answered
 	failovers         atomic.Uint64 // cells re-routed off a failed replica
 	failoverExhausted atomic.Uint64 // cells that ran out of candidates
-	idemHits          atomic.Uint64 // submissions answered by an existing job
-	recovered         atomic.Uint64 // jobs replayed from the ledger at boot
 	hedgesLaunched    atomic.Uint64 // backup dispatches actually sent
 	hedgesWon         atomic.Uint64 // hedges where the backup answered first
-	deadlineRejected  atomic.Uint64 // requests refused for exhausted budget
 }
 
-// NewFrontend builds a frontend over the configured replica fleet and
-// starts its health prober.
+// NewFrontend builds a frontend over the configured replica fleet, starts
+// its health prober, and recovers any jobs its ledger holds pending.
 func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
-	cfg = cfg.withDefaults()
-	ring, err := cluster.New(cfg.Replicas, cfg.VNodes)
+	ring, err := cluster.New(cfg.Replicas, cluster.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frontend{
-		cfg:         cfg,
-		ring:        ring,
-		clients:     make(map[string]*client.Client, len(cfg.Replicas)),
-		flight:      newFlightGroup[api.SimResponse](),
-		batchFlight: newFlightGroup[*api.BatchResponse](),
-		jobs:        newJobStore(),
-		logger:      cfg.Logger,
-		reqHist:     newHistogram(latencyBounds),
-		start:       time.Now(),
-	}
-	f.rootCtx, f.rootCancel = context.WithCancel(context.Background())
-	if cfg.TraceSpans > 0 {
-		proc := cfg.ProcName
-		if proc == "" {
-			proc = "frontend"
+	var led *ledger.Store
+	if cfg.LedgerDir != "" {
+		// An unopenable ledger is a hard startup error: the operator asked
+		// for durability, so running without it would silently break the
+		// exactly-once contract.
+		if led, err = ledger.NewStore(cfg.LedgerDir, cfg.Faults.Filesystem()); err != nil {
+			return nil, err
 		}
-		f.tracer = obs.New(proc, cfg.TraceSpans)
 	}
-	f.dispatchHist = make(map[string]*histogram, len(dispatchOutcomes))
+	f := &Frontend{
+		cfg:          cfg,
+		ring:         ring,
+		clients:      make(map[string]*client.Client, len(cfg.Replicas)),
+		flight:       newFlightGroup[api.SimResponse](),
+		dispatchHist: make(map[string]*histogram, len(dispatchOutcomes)),
+	}
+	f.core = newCore(f, coreConfig{
+		role:           "frontend",
+		procName:       cfg.ProcName,
+		traceSpans:     cfg.TraceSpans,
+		defaultTimeout: cfg.DefaultTimeout,
+		heartbeat:      cfg.StreamHeartbeat,
+		streamCfg: stream.Config{
+			ReplayEntries: cfg.StreamReplay,
+			SessionBuffer: cfg.StreamBuffer,
+			SessionTTL:    cfg.StreamTTL,
+		},
+		faults:    cfg.Faults,
+		logger:    cfg.Logger,
+		flightDir: cfg.LedgerDir,
+		ledger:    led,
+	})
 	for _, o := range dispatchOutcomes {
 		f.dispatchHist[o] = newHistogram(latencyBounds)
 	}
 	f.breakers = cluster.NewBreakers(cfg.Replicas, cluster.BreakerConfig{
 		Threshold: cfg.BreakerThreshold,
 		Cooldown:  cfg.BreakerCooldown,
-	})
-	f.streams = stream.NewRegistry(stream.Config{
-		ReplayEntries: cfg.StreamReplay,
-		SessionBuffer: cfg.StreamBuffer,
-		SessionTTL:    cfg.StreamTTL,
 	})
 	// One transport (and fault schedule) shared by every replica client:
 	// a partition of one host must not disturb the others' connections,
@@ -234,68 +194,12 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		FailThreshold: cfg.FailThreshold,
 		Seed:          cfg.Seed,
 	})
-	if cfg.LedgerDir != "" {
-		// An unopenable ledger is a hard startup error: the operator asked
-		// for durability, so running without it would silently break the
-		// exactly-once contract.
-		led, err := ledger.NewStore(cfg.LedgerDir, cfg.Faults.Filesystem())
-		if err != nil {
-			return nil, err
-		}
-		f.ledger = led
+	if led != nil {
 		f.ledgerHealth = led.Scan()
 	}
 	f.prober.Start()
-	f.recoverLedger()
+	f.recoverLedger(f.ledgerHealth)
 	return f, nil
-}
-
-// recoverLedger replays the boot-time scan. Completed jobs re-register
-// finished under their original ids — the durable dedup window, so a
-// client retrying an idempotency key after the crash gets the original
-// results. Pending jobs re-attach their event stream under a fresh
-// event-id epoch and re-dispatch over the ring; worker-side exactly-once
-// (content-addressed cache + single-flight) turns the re-dispatch into
-// re-attachment — cells the fleet already finished come back as cache
-// hits, cells still running collapse onto the running flight, and only
-// truly lost work executes again.
-func (f *Frontend) recoverLedger() {
-	for _, lj := range f.ledgerHealth.Completed {
-		j := f.jobs.restore(lj.ID, lj.Accepted.Total, lj.Accepted.Key, nil)
-		var err error
-		if lj.Done.Error != "" {
-			err = errors.New(lj.Done.Error)
-		}
-		j.finish(lj.Done.Batch, err)
-	}
-	for _, lj := range f.ledgerHealth.Pending {
-		// Event-id epoch: (recoveries+1)<<32 keeps recovered stream ids
-		// strictly above anything a previous incarnation served, so a
-		// subscriber's Last-Event-ID resume stays monotonic across the
-		// crash instead of replaying ids it has already seen.
-		epoch := (uint64(lj.Recoveries) + 1) << 32
-		bc := f.streams.CreateAt(lj.ID, epoch)
-		j := f.jobs.restore(lj.ID, lj.Accepted.Total, lj.Accepted.Key, bc)
-		if lj.Accepted.Request == nil {
-			// A journal whose accepted record lost its payload cannot be
-			// re-run; settle it as failed rather than recover a ghost.
-			err := errors.New("service: recovered job has no request payload")
-			j.finish(nil, err)
-			f.settleJob(j, nil, err)
-			continue
-		}
-		if err := f.ledger.Append(lj.ID, ledger.Record{Kind: ledger.KindRecovered, JobID: lj.ID, TraceID: lj.Accepted.TraceID}); err != nil {
-			f.logger.Warn("ledger recovered-record append failed", "job", lj.ID, "err", err)
-		}
-		f.recovered.Add(1)
-		// The re-dispatch joins the original submission's trace: the journal
-		// recorded the trace id at acceptance, so the recovery spans land in
-		// the same trace the (now dead) first incarnation was building —
-		// with no recorded id (pre-tracing journal) this roots a fresh one.
-		jsp := f.tracer.StartLinked(lj.Accepted.TraceID, "frontend.recover").Attr("job_id", lj.ID)
-		j.setTrace(jsp.TraceID())
-		f.launchJob(j, *lj.Accepted.Request, jsp, "")
-	}
 }
 
 // LedgerHealth reports the boot-time ledger scan (zero when disabled).
@@ -311,59 +215,7 @@ func (f *Frontend) probe(ctx context.Context, replica string) cluster.Status {
 	return cluster.Status{Err: err}
 }
 
-// Handler returns the routed HTTP handler. The route set mirrors the
-// worker's so clients need not know which role they are talking to; the
-// one asymmetry is /v1/jobs/{id}/trace, which the frontend does not
-// aggregate for interval telemetry (each worker holds only its own cells'
-// series) and answers with a typed 404 — unless ?view=cluster asks for
-// the distributed span trace, which the frontend does merge fleet-wide.
-func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /"+api.Version+"/sim", f.handleSim)
-	mux.HandleFunc("POST /"+api.Version+"/batch", f.handleBatch)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}", f.handleJob)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/trace", f.handleJobTrace)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/stream", f.handleJobStream)
-	mux.HandleFunc("GET /"+api.Version+"/spans", func(w http.ResponseWriter, r *http.Request) {
-		serveSpans(w, r, f.tracer)
-	})
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	return instrumentWith(normalizeErrors(mux), f.logger, &f.reqSeq, &f.reqTotal, f.reqHist, f.tracer)
-}
-
-// BeginDrain flips /readyz unready (a frontend fleet behind a load
-// balancer drains the same way workers drain behind the frontend).
-func (f *Frontend) BeginDrain() { f.draining.Store(true) }
-
-// Shutdown stops the prober and waits for async jobs to finish
-// coordinating. Worker-side simulation keeps running — the workers own it.
-func (f *Frontend) Shutdown(ctx context.Context) error {
-	f.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		f.prober.Stop()
-		f.jobs.wg.Wait()
-		f.streams.Close()
-		f.rootCancel()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Abort hard-cancels every in-flight async job without draining — the
-// in-process stand-in for kill -9 in crash tests. The ledger keeps its
-// accepted records, so the next incarnation recovers what this one drops.
-func (f *Frontend) Abort() {
-	f.draining.Store(true)
-	f.rootCancel()
-}
+func (f *Frontend) stop() { f.prober.Stop() }
 
 // ---- routing ----
 
@@ -396,31 +248,14 @@ func (f *Frontend) candidates(key string) []string {
 	return out
 }
 
-// cellKey computes a cell's content address exactly as the worker will
-// (Resolve normalizes the ROI before hashing, nil config means the
-// default), which is what keeps routing aligned with the workers' caches.
-func (f *Frontend) cellKey(ref workloads.Ref, tech string, override *cpu.Config, so *api.SamplingOptions) (string, error) {
-	if _, err := experiments.ParseTechnique(tech); err != nil {
-		return "", badRequest(err)
-	}
-	spec, err := workloads.Resolve(ref)
-	if err != nil {
-		return "", badRequest(err)
-	}
-	cfg := cpu.DefaultConfig()
-	if override != nil {
-		cfg = *override
-	}
-	return CacheKeySampled(spec.Ref, tech, cfg, so), nil
-}
-
-// routeCell routes one cell to its preferred live replica, failing over
+// sim routes one cell to its preferred live replica, failing over
 // down the candidate list on transport errors. Typed API errors pass
 // through — the replica is alive and its answer (400, 429, 504, ...) is
 // the answer. Identical concurrent cells collapse on the frontend's own
 // single-flight so one network round trip serves them all (the worker's
 // flight would collapse them anyway; this saves the duplicate hop).
-func (f *Frontend) routeCell(ctx context.Context, key string, req api.SimRequest) (api.SimResponse, error) {
+func (f *Frontend) sim(ctx context.Context, c cell, req api.SimRequest) (api.SimResponse, error) {
+	key := c.key
 	resp, _, err := f.flight.Do(ctx, key, func() (api.SimResponse, error) {
 		cands := f.candidates(key)
 		tid := obs.FromContext(ctx).TraceID()
@@ -619,22 +454,18 @@ func (f *Frontend) recordHedge(key, winner, loser string) {
 
 // ---- batch coordination ----
 
-// runClusterBatch answers a batch by sharding its cells over the fleet:
+// batch answers a batch by sharding its cells over the fleet:
 // cells group by ring owner, each group runs as one sub-batch on its
 // replica, and groups whose replica fails are re-grouped onto the next
 // candidate until every cell completes or runs out of replicas. With j
 // non-nil the groups run as async worker jobs whose event streams are
 // republished (remapped to frontend cell indices) into j's broadcaster.
-func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
-	list := req.CellList()
-	keys := make([]string, len(list))
-	for i, c := range list {
-		key, err := f.cellKey(c.Workload, c.Technique, req.Config, req.Sampling)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = key
+func (f *Frontend) batch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
+	resolved, err := resolveCells(req)
+	if err != nil {
+		return nil, err
 	}
+	list := req.CellList()
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -658,7 +489,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				continue
 			}
 			next := ""
-			for _, rep := range f.candidates(keys[i]) {
+			for _, rep := range f.candidates(resolved[i].key) {
 				if !tried[i][rep] {
 					next = rep
 					break
@@ -668,10 +499,10 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				// Out of candidates: the cell fails in isolation, exactly
 				// like a worker-side panic cell — the batch completes.
 				f.failoverExhausted.Add(1)
-				cells[i] = api.SimResponse{Key: keys[i],
-					Error: &api.Error{Code: api.CodeShuttingDown, Error: errNoReplica.Error() + " for " + keys[i]}}
+				cells[i] = api.SimResponse{Key: resolved[i].key,
+					Error: &api.Error{Code: api.CodeShuttingDown, Error: errNoReplica.Error() + " for " + resolved[i].key}}
 				done[i] = true
-				f.finishCell(j, i, list[i], cells[i])
+				j.cellPub(i, list[i].Workload.Kernel, list[i].Technique).done(cells[i])
 				continue
 			}
 			groups[next] = append(groups[next], i)
@@ -727,7 +558,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 				for n, i := range idxs {
 					cells[i] = results[n]
 					done[i] = true
-					f.finishCell(j, i, list[i], results[n])
+					j.cellPub(i, list[i].Workload.Kernel, list[i].Technique).done(results[n])
 				}
 			}()
 		}
@@ -739,32 +570,7 @@ func (f *Frontend) runClusterBatch(ctx context.Context, req api.BatchRequest, j 
 			return nil, err
 		}
 	}
-	out := &api.BatchResponse{Cells: cells}
-	for _, c := range cells {
-		if c.Cached {
-			out.CacheHits++
-		}
-		if c.Error != nil {
-			out.Failed++
-		}
-	}
-	return out, nil
-}
-
-// finishCell records one finalized cell on the frontend job and publishes
-// its cell-done (the frontend, not the worker, is the authority on when a
-// cell is done — a re-routed group's first attempt must not count).
-func (f *Frontend) finishCell(j *job, idx int, c api.CellRequest, resp api.SimResponse) {
-	if j == nil {
-		return
-	}
-	pub := &cellPub{j: j, cell: idx, bench: c.Workload.Kernel, tech: c.Technique}
-	d := j.cellDone()
-	ev := api.Event{Kind: api.EventCellDone, Key: resp.Key, Cached: resp.Cached, Done: d, Total: j.total}
-	if resp.Error != nil {
-		ev.Error = resp.Error.Error
-	}
-	pub.publish(ev)
+	return batchOf(cells), nil
 }
 
 // runGroup runs one replica's share of a batch. Synchronous batches (j ==
@@ -773,7 +579,7 @@ func (f *Frontend) finishCell(j *job, idx int, c api.CellRequest, resp api.SimRe
 // frontend job's broadcaster with the cell index remapped from sub-batch
 // to frontend coordinates, and poll the worker job for the final results.
 // Worker cell-done/job-done events are not forwarded: the frontend emits
-// its own when a cell is truly final (finishCell) and when the whole
+// its own when a cell is truly final (cellPub.done) and when the whole
 // cross-replica batch ends.
 func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []api.CellRequest, req api.BatchRequest, j *job) (_ []api.SimResponse, retErr error) {
 	// One span per replica-group dispatch: which worker got how many cells,
@@ -848,7 +654,7 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 			continue
 		}
 		idx := idxs[ev.Cell]
-		pub := &cellPub{j: j, cell: idx, bench: list[idx].Workload.Kernel, tech: list[idx].Technique}
+		pub := j.cellPub(idx, list[idx].Workload.Kernel, list[idx].Technique)
 		// Rebuild the event so worker-local identity (ID, JobID, progress
 		// counts) never leaks into the frontend stream; the broadcaster
 		// assigns fresh IDs in frontend sequence.
@@ -872,269 +678,9 @@ func (f *Frontend) runGroup(ctx context.Context, rep string, idxs []int, list []
 	return js.Batch.Cells, nil
 }
 
-// ---- handlers ----
-
-func (f *Frontend) timeout(ms int64) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return f.cfg.DefaultTimeout
-}
-
 // hopMargin is the slice of deadline budget the frontend keeps for itself
 // when forwarding to a worker: response decode, re-route bookkeeping.
 const hopMargin = 50 * time.Millisecond
-
-// requestBudget resolves one request's effective timeout: the explicit
-// timeout_ms (or the configured default) shrunk to the client's propagated
-// X-Deadline-Ms budget. A budget too small to do any work is rejected up
-// front (504) instead of spending fleet capacity on a request whose
-// client has already given up.
-func (f *Frontend) requestBudget(r *http.Request, ms int64) (time.Duration, error) {
-	d := f.timeout(ms)
-	if budget, ok := deadlineBudget(r); ok {
-		if budget < minDeadlineBudget {
-			f.deadlineRejected.Add(1)
-			return 0, errDeadlineBudget
-		}
-		if budget < d {
-			d = budget
-		}
-	}
-	return d, nil
-}
-
-// writeRoutedError answers a routing failure: replica verdicts (typed API
-// errors) pass through with their original status, code and Retry-After —
-// the frontend is transparent — and everything else goes through the
-// worker's own error taxonomy.
-func writeRoutedError(w http.ResponseWriter, err error) {
-	var ae *client.APIError
-	if errors.As(err, &ae) {
-		if ae.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ae.RetryAfter/time.Second)))
-		}
-		writeJSON(w, ae.Status, api.Error{Code: ae.Code, Error: ae.Message})
-		return
-	}
-	if errors.Is(err, errNoReplica) {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{Code: api.CodeShuttingDown, Error: err.Error()})
-		return
-	}
-	writeError(w, err)
-}
-
-func (f *Frontend) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req api.SimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	key, err := f.cellKey(req.Workload, req.Technique, req.Config, req.Sampling)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	d, err := f.requestBudget(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	resp, err := f.routeCell(ctx, key, req)
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	writeJSONTimed(r.Context(), w, http.StatusOK, resp)
-}
-
-func (f *Frontend) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	if h := r.Header.Get(api.HeaderIdempotencyKey); h != "" {
-		req.IdempotencyKey = h
-	}
-	if req.Async {
-		f.acceptAsync(w, r, req)
-		return
-	}
-	d, err := f.requestBudget(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	if req.IdempotencyKey != "" {
-		// A synchronous duplicate of a key some job already owns waits for
-		// that job and serves its outcome — the same exactly-once answer,
-		// without a second execution.
-		if j, ok := f.jobs.getIdem(req.IdempotencyKey); ok {
-			f.idemHits.Add(1)
-			f.serveJobOutcome(ctx, w, r, j)
-			return
-		}
-		// Concurrent synchronous duplicates collapse on a single flight.
-		batch, shared, err := f.batchFlight.Do(ctx, req.IdempotencyKey, func() (*api.BatchResponse, error) {
-			return f.runClusterBatch(ctx, req, nil)
-		})
-		if err != nil {
-			writeRoutedError(w, err)
-			return
-		}
-		out := *batch
-		if shared {
-			f.idemHits.Add(1)
-			out.Deduped = true
-		}
-		writeJSONTimed(r.Context(), w, http.StatusOK, out)
-		return
-	}
-	batch, err := f.runClusterBatch(ctx, req, nil)
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	writeJSONTimed(r.Context(), w, http.StatusOK, *batch)
-}
-
-// acceptAsync admits an async batch: idempotency-key dedup, durable
-// ledger append, then the 202. The two crash points bracket the append so
-// the chaos suite can pin both halves of the exactly-once argument — die
-// before the append and the job never existed (the client's retry re-runs
-// it from scratch); die after and a rebooted frontend recovers it under
-// the same identity.
-func (f *Frontend) acceptAsync(w http.ResponseWriter, r *http.Request, req api.BatchRequest) {
-	if f.cfg.Faults.CrashAt(faults.FrontendCrashBeforeLedgerWrite) {
-		panic(http.ErrAbortHandler)
-	}
-	j, created := f.jobs.create(len(req.CellList()), req.IdempotencyKey, f.streams)
-	if !created {
-		if j.total != len(req.CellList()) {
-			writeError(w, badRequest(fmt.Errorf(
-				"service: idempotency key %q was used for a different batch (%d cells, resubmission has %d)",
-				req.IdempotencyKey, j.total, len(req.CellList()))))
-			return
-		}
-		f.idemHits.Add(1)
-		writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id, Deduped: true})
-		return
-	}
-	// The job span is a child of the accepting request's span, so the whole
-	// async batch — admission, every dispatch, the workers' cells — hangs
-	// off the submitter's trace. The trace id rides the accepted ledger
-	// record so a post-crash recovery can link its re-dispatch spans back.
-	jsp := obs.FromContext(r.Context()).StartChild("frontend.job").Attr("job_id", j.id)
-	j.setTrace(jsp.TraceID())
-	if f.ledger != nil {
-		rec := ledger.Record{Kind: ledger.KindAccepted, JobID: j.id,
-			Key: req.IdempotencyKey, Total: j.total, Request: &req, TraceID: jsp.TraceID()}
-		if err := f.ledger.Append(j.id, rec); err != nil {
-			f.logger.Warn("ledger accepted-record append failed", "job", j.id, "err", err)
-		}
-	}
-	if f.cfg.Faults.CrashAt(faults.FrontendCrashAfterLedgerWrite) {
-		panic(http.ErrAbortHandler)
-	}
-	f.launchJob(j, req, jsp, obs.RequestIDFrom(r.Context()))
-	writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id})
-}
-
-// launchJob runs an accepted async batch in the background under the
-// frontend's root context — not the accepting request's, which dies with
-// the 202. The job span and request id are copied over explicitly so the
-// batch's coordination spans stay in the submitter's trace.
-func (f *Frontend) launchJob(j *job, req api.BatchRequest, jsp *obs.Span, reqID string) {
-	ctx := obs.ContextWithSpan(obs.ContextWithRequestID(f.rootCtx, reqID), jsp)
-	var cancel context.CancelFunc = func() {}
-	if req.TimeoutMS > 0 {
-		ctx, cancel = context.WithTimeout(ctx, f.timeout(req.TimeoutMS))
-	}
-	f.jobs.wg.Add(1)
-	go func() {
-		defer f.jobs.wg.Done()
-		defer cancel()
-		batch, err := f.runClusterBatch(ctx, req, j)
-		jsp.Fail(err).End()
-		if err != nil && f.rootCtx.Err() != nil {
-			// The frontend is dying (Abort), not the job: a real kill -9
-			// would write nothing either. Leave the journal pending so the
-			// next incarnation recovers the job under its own identity.
-			return
-		}
-		j.finish(batch, err)
-		f.settleJob(j, batch, err)
-	}()
-}
-
-// settleJob seals a finished job: the durable done record first (so a
-// crash after this point dedups rather than re-runs), then the job-done
-// event and stream close.
-func (f *Frontend) settleJob(j *job, batch *api.BatchResponse, err error) {
-	if f.ledger != nil {
-		rec := ledger.Record{Kind: ledger.KindDone, JobID: j.id}
-		if err != nil {
-			rec.Error = err.Error()
-		} else {
-			rec.Batch = batch
-		}
-		if aerr := f.ledger.Append(j.id, rec); aerr != nil {
-			f.logger.Warn("ledger done-record append failed", "job", j.id, "err", aerr)
-		}
-	}
-	if j.bc != nil {
-		ev := api.Event{Kind: api.EventJobDone, Done: j.doneCount(), Total: j.total, Cell: -1}
-		if err != nil {
-			ev.Error = err.Error()
-		}
-		j.bc.Publish(ev)
-		j.bc.Close()
-	}
-}
-
-// serveJobOutcome answers a synchronous request with an existing job's
-// outcome, waiting (bounded by ctx) if the job is still running — the
-// synchronous view of an asynchronous original.
-func (f *Frontend) serveJobOutcome(ctx context.Context, w http.ResponseWriter, r *http.Request, j *job) {
-	select {
-	case <-ctx.Done():
-		writeError(w, ctx.Err())
-		return
-	case <-j.doneCh:
-	}
-	batch, err := j.outcome()
-	if err != nil {
-		writeRoutedError(w, err)
-		return
-	}
-	out := *batch
-	out.JobID = j.id
-	out.Deduped = true
-	writeJSONTimed(r.Context(), w, http.StatusOK, out)
-}
-
-func (f *Frontend) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := f.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", r.PathValue("id"))})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
 
 // handleJobTrace: the frontend keeps no interval-trace store — each
 // worker holds only its own cells' series, and stitching them would
@@ -1147,25 +693,22 @@ func (f *Frontend) handleJob(w http.ResponseWriter, r *http.Request) {
 // instead of JSON.
 func (f *Frontend) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("view") != "cluster" {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
-			Error: "service: the frontend does not aggregate interval traces; subscribe to /v1/jobs/{id}/stream, query the owning worker, or GET ?view=cluster for the distributed span trace"})
+		writeNotFound(w, "service: the frontend does not aggregate interval traces; subscribe to /v1/jobs/{id}/stream, query the owning worker, or GET ?view=cluster for the distributed span trace")
 		return
 	}
 	if f.tracer == nil {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
-			Error: "service: span tracing is disabled (start the frontend with -trace-spans)"})
+		writeNotFound(w, "service: span tracing is disabled (start the frontend with -trace-spans)")
 		return
 	}
 	id := r.PathValue("id")
 	j, ok := f.jobs.get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", id)})
+		writeNotFound(w, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
 	tid := j.trace()
 	if tid == "" {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
-			Error: fmt.Sprintf("service: job %q has no recorded trace (accepted before tracing was enabled)", id)})
+		writeNotFound(w, fmt.Sprintf("service: job %q has no recorded trace (accepted before tracing was enabled)", id))
 		return
 	}
 	out := api.ClusterTrace{JobID: id, TraceID: tid}
@@ -1197,32 +740,6 @@ func (f *Frontend) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONTimed(r.Context(), w, http.StatusOK, out)
-}
-
-// DumpFlight seals the frontend's flight record beside its ledger
-// (<LedgerDir>/forensics/) and returns the path; "" when tracing or the
-// ledger is disabled. cmd/dvrd calls this on SIGTERM.
-func (f *Frontend) DumpFlight(reason string) string {
-	return dumpFlight(f.tracer, f.cfg.LedgerDir, reason, f.logger)
-}
-
-func (f *Frontend) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	streamJob(w, r, f.jobs, f.cfg.StreamHeartbeat)
-}
-
-func (f *Frontend) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (f *Frontend) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if f.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{Code: api.CodeShuttingDown, Error: "service: draining"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
 }
 
 // Metrics snapshots the frontend's routing counters and the fleet's
@@ -1287,11 +804,5 @@ func (f *Frontend) Metrics() api.ClusterMetrics {
 
 func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := f.Metrics()
-	if accept := r.Header.Get("Accept"); wantsPrometheus(accept) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		writeClusterPrometheus(w, m, f.reqHist, f.dispatchHist, wantsExemplars(accept))
-		return
-	}
-	writeJSON(w, http.StatusOK, m)
+	serveMetrics(w, r, m, func(w io.Writer, om bool) { writeClusterPrometheus(w, m, f.reqHist, f.dispatchHist, om) })
 }

@@ -118,7 +118,7 @@ func (j *job) status() api.JobStatus {
 }
 
 // jobStore tracks async batch jobs. The WaitGroup covers every job
-// goroutine, which is what graceful shutdown drains: Server.Shutdown waits
+// goroutine, which is what graceful shutdown drains: core.Shutdown waits
 // for it, so a SIGTERM never abandons a job a client was polling.
 type jobStore struct {
 	mu     sync.Mutex

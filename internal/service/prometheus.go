@@ -26,8 +26,8 @@ var latencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 
 // histogram is a fixed-bucket duration histogram safe for concurrent
 // observation. Buckets are non-cumulative atomics; the cumulative form
-// Prometheus wants is computed at exposition time, so observe() on the
-// hot request path is one atomic add (plus one for the sum). When a
+// Prometheus wants is computed at exposition time, so observeTraced on
+// the hot request path is one atomic add (plus one for the sum). When a
 // traced observation lands (observeTraced with a non-empty trace id) the
 // bucket's exemplar is replaced under a mutex — that path only runs with
 // tracing enabled, so the disabled hot path stays lock-free.
@@ -52,10 +52,8 @@ func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
-func (h *histogram) observe(d time.Duration) { h.observeTraced(d, "") }
-
-// observeTraced is observe plus exemplar capture when the observation
-// belongs to a trace.
+// observeTraced records one observation, plus exemplar capture when the
+// observation belongs to a trace (traceID non-empty).
 func (h *histogram) observeTraced(d time.Duration, traceID string) {
 	if d < 0 {
 		d = 0

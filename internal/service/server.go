@@ -17,10 +17,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,47 +33,13 @@ import (
 	"dvr/internal/workloads"
 )
 
-var (
-	errShuttingDown = errors.New("service: shutting down")
-	// errOverloaded is the load-shed signal: the worker queue is full, so
-	// the request is rejected 429 + Retry-After instead of stalling the
-	// connection behind every queued job. Jobs are idempotent by cache
-	// key, so clients retry safely (internal/service/client does).
-	errOverloaded = errors.New("service: overloaded: simulation queue is full")
+// baseEntries bounds the memoized built workload images; traceEntries
+// bounds the in-memory interval-trace store (with CacheDir set, series
+// also spill to <dir>/traces/).
+const (
+	baseEntries  = 32
+	traceEntries = 1024
 )
-
-// retryAfterSeconds is the hint sent with 429/503 responses. Simulations
-// are short relative to human patience but long relative to a network
-// round trip; one second keeps honest clients from busy-spinning without
-// parking them needlessly.
-const retryAfterSeconds = 1
-
-// minDeadlineBudget is the smallest propagated deadline budget worth
-// admitting: below it the request is doomed — any work started would be
-// abandoned before it could answer — so the server rejects 504
-// immediately and the upstream's own deadline machinery takes over.
-const minDeadlineBudget = 2 * time.Millisecond
-
-// errDeadlineBudget is the typed doomed-request rejection; it wraps
-// context.DeadlineExceeded so the existing status/code mapping answers
-// 504 api.CodeTimeout.
-var errDeadlineBudget = fmt.Errorf("service: deadline budget exhausted: %w", context.DeadlineExceeded)
-
-// deadlineBudget parses the X-Deadline-Ms header: the client's remaining
-// deadline at send time, shrunk hop by hop. ok is false when the header
-// is absent or malformed (a malformed budget is ignored, not fatal — the
-// request still has timeout_ms and the server default).
-func deadlineBudget(r *http.Request) (time.Duration, bool) {
-	h := r.Header.Get(api.HeaderDeadlineMS)
-	if h == "" {
-		return 0, false
-	}
-	ms, err := strconv.ParseInt(h, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return time.Duration(ms) * time.Millisecond, true
-}
 
 // Config sizes the server.
 type Config struct {
@@ -100,8 +64,6 @@ type Config struct {
 	// DefaultTimeout bounds requests that do not set timeout_ms; 0 means
 	// 5 minutes.
 	DefaultTimeout time.Duration
-	// BaseEntries bounds the memoized built workload images; 0 means 32.
-	BaseEntries int
 	// Faults injects scripted failures (chaos tests); nil means none.
 	Faults *faults.Injector
 	// Logger receives one structured line per request (id, status, span
@@ -113,9 +75,6 @@ type Config struct {
 	// GET /v1/jobs/{id}/trace. 0 disables tracing. Tracing is
 	// observational: results are bit-identical either way.
 	TraceIntervalEvery uint64
-	// TraceEntries bounds the in-memory trace store; 0 means 1024. With
-	// CacheDir set, series also spill to <dir>/traces/.
-	TraceEntries int
 	// StreamReplay bounds each job's replay ring — the Last-Event-ID
 	// resume window of GET /v1/jobs/{id}/stream; 0 means 4096 events.
 	StreamReplay int
@@ -150,74 +109,37 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 4096
 	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Minute
-	}
-	if c.BaseEntries <= 0 {
-		c.BaseEntries = 32
-	}
-	if c.TraceEntries <= 0 {
-		c.TraceEntries = 1024
-	}
-	if c.StreamHeartbeat <= 0 {
-		c.StreamHeartbeat = 15 * time.Second
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	return c
 }
 
-// Server is the dvrd service. Construct with New, mount Handler, and call
-// Shutdown to drain.
+// Server is the dvrd worker: the serving core over the local executor — a
+// bounded worker pool behind AIMD admission, the content-addressed result
+// cache with single-flight collapsing, checkpoints, and interval traces.
+// Construct with New, mount Handler, and call Shutdown to drain.
 type Server struct {
+	*core
 	cfg    Config
 	cache  *resultCache
 	flight *flightGroup[cpu.Result]
 	pool   *pool
-	jobs   *jobStore
 	bases  *baseCache
-
-	// rootCtx parents every async job (and boot-time resume); Abort
-	// cancels it — the in-process analogue of SIGKILL for chaos tests.
-	rootCtx    context.Context
-	rootCancel context.CancelFunc
-
-	// draining flips when graceful shutdown begins: /readyz answers 503 so
-	// a frontend stops routing new cells here while in-flight work — which
-	// this worker still owns — finishes.
-	draining atomic.Bool
 
 	// ckpts is the durable checkpoint store (nil when disabled);
 	// ckptHealth is its startup scan.
 	ckpts      *checkpoint.Store
 	ckptHealth checkpoint.Health
 
-	// streams owns the per-job broadcasters behind GET
-	// /v1/jobs/{id}/stream and the TTL janitor reaping idle sessions.
-	streams *stream.Registry
-
 	// traces holds per-cell interval telemetry (nil when tracing is
-	// disabled); tracer is the distributed-tracing span collector (nil
-	// when disabled); logger, reqSeq and the histograms back the request
-	// observability layer (observe.go).
+	// disabled); queueHist is the queue-wait histogram.
 	traces    *traceStore
-	tracer    *obs.Tracer
-	logger    *slog.Logger
-	reqSeq    atomic.Uint64
-	reqTotal  atomic.Uint64
-	reqHist   *histogram
 	queueHist *histogram
 
-	start      time.Time
 	startInsts uint64
 	sfRetries  atomic.Uint64 // single-flight followers that re-ran after a leader error
 	simsDone   atomic.Uint64 // detailed simulations run to completion and committed
 
-	// adm is the AIMD admission controller gating interactive requests;
-	// deadlineRejected counts doomed requests rejected 504 on arrival.
-	adm              *aimd
-	deadlineRejected atomic.Uint64
+	// adm is the AIMD admission controller gating interactive requests.
+	adm *aimd
 
 	ckptWritten   atomic.Uint64 // checkpoints persisted
 	ckptResumed   atomic.Uint64 // runs resumed from a checkpoint
@@ -235,34 +157,32 @@ func New(cfg Config) *Server {
 		cache:      newResultCache(cfg.CacheEntries, cfg.CacheDir, cfg.Faults.Filesystem()),
 		flight:     newFlightGroup[cpu.Result](),
 		pool:       newPool(cfg.Workers, cfg.QueueDepth),
-		jobs:       newJobStore(),
-		bases:      newBaseCache(cfg.BaseEntries),
-		logger:     cfg.Logger,
-		reqHist:    newHistogram(latencyBounds),
+		bases:      newBaseCache(baseEntries),
 		queueHist:  newHistogram(latencyBounds),
-		start:      time.Now(),
 		startInsts: experiments.SimInstructions(),
+		adm:        newAIMD(cfg.Workers, cfg.Workers+cfg.QueueDepth),
 	}
-	s.adm = newAIMD(cfg.Workers, cfg.Workers+cfg.QueueDepth)
-	if cfg.TraceSpans > 0 {
-		proc := cfg.ProcName
-		if proc == "" {
-			proc = "worker"
-		}
-		s.tracer = obs.New(proc, cfg.TraceSpans)
-	}
-	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
-	s.streams = stream.NewRegistry(stream.Config{
-		ReplayEntries: cfg.StreamReplay,
-		SessionBuffer: cfg.StreamBuffer,
-		SessionTTL:    cfg.StreamTTL,
+	s.core = newCore(s, coreConfig{
+		role:           "worker",
+		procName:       cfg.ProcName,
+		traceSpans:     cfg.TraceSpans,
+		defaultTimeout: cfg.DefaultTimeout,
+		heartbeat:      cfg.StreamHeartbeat,
+		streamCfg: stream.Config{
+			ReplayEntries: cfg.StreamReplay,
+			SessionBuffer: cfg.StreamBuffer,
+			SessionTTL:    cfg.StreamTTL,
+		},
+		faults:    cfg.Faults,
+		logger:    cfg.Logger,
+		flightDir: cfg.CacheDir,
 	})
 	if cfg.TraceIntervalEvery > 0 {
 		traceDir := ""
 		if cfg.CacheDir != "" {
 			traceDir = filepath.Join(cfg.CacheDir, "traces")
 		}
-		s.traces = newTraceStore(cfg.TraceEntries, traceDir, cfg.Faults.Filesystem())
+		s.traces = newTraceStore(traceEntries, traceDir, cfg.Faults.Filesystem())
 	}
 	if cfg.CacheDir != "" && cfg.CheckpointEvery > 0 {
 		store, err := checkpoint.NewStore(filepath.Join(cfg.CacheDir, "checkpoints"), cfg.Faults.Filesystem())
@@ -285,177 +205,7 @@ func (s *Server) SpillHealth() SpillHealth { return s.cache.Health() }
 // jobs found journaled at boot; the server resumes them in the background.
 func (s *Server) CheckpointHealth() checkpoint.Health { return s.ckptHealth }
 
-// Handler returns the routed HTTP handler, wrapped in the request
-// observability middleware (request IDs, span log lines, the duration
-// histogram).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /"+api.Version+"/sim", s.handleSim)
-	mux.HandleFunc("POST /"+api.Version+"/batch", s.handleBatch)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("GET /"+api.Version+"/jobs/{id}/stream", s.handleJobStream)
-	mux.HandleFunc("GET /"+api.Version+"/spans", func(w http.ResponseWriter, r *http.Request) {
-		serveSpans(w, r, s.tracer)
-	})
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// normalizeErrors turns the mux's own plain-text 404/405 pages into
-	// typed api.Error JSON; every other error body is already typed.
-	return s.instrument(normalizeErrors(mux))
-}
-
-// BeginDrain marks the server draining: /healthz keeps answering ok (the
-// process is alive) while /readyz flips to 503, so a frontend stops
-// routing new cells here before the listener closes. The server still
-// accepts and serves requests while draining — work it already owns, and
-// stragglers routed during the frontend's detection window, finish
-// normally.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Abort hard-cancels the server's root context: every async job (and any
-// boot-time resume) stops at its next cancellation check, leaving
-// checkpoint journals on disk exactly as a process kill would. Chaos tests
-// use it — paired with a network partition — as the in-process analogue of
-// SIGKILL; a real worker dies with the process instead.
-func (s *Server) Abort() { s.rootCancel() }
-
-// Shutdown drains the server: it waits for every async job to finish,
-// then stops the worker pool (draining any queued tasks). In-flight HTTP
-// requests are the http.Server's to drain; call its Shutdown first.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.jobs.wg.Wait()
-		s.pool.Close()
-		s.streams.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// statusError pairs an error with the HTTP status it maps to.
-type statusError struct {
-	code int
-	err  error
-}
-
-func (e *statusError) Error() string { return e.err.Error() }
-func (e *statusError) Unwrap() error { return e.err }
-
-func badRequest(err error) error { return &statusError{http.StatusBadRequest, err} }
-
-// httpStatus maps an error to its response code: 400 for malformed jobs,
-// 504 for deadline-exceeded, 429 on a shed request, 503 while shutting
-// down, 500 otherwise (including recovered worker panics).
-func httpStatus(err error) int {
-	var se *statusError
-	switch {
-	case errors.As(err, &se):
-		return se.code
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		// The client went away; the code is moot but 499-ish.
-		return http.StatusGatewayTimeout
-	case errors.Is(err, errOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, errShuttingDown):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// errorCode classifies an error for api.Error.Code — the machine-readable
-// half of the failure model (DESIGN.md, "failure model").
-func errorCode(err error) string {
-	var (
-		se *statusError
-		pe *PanicError
-	)
-	switch {
-	case errors.As(err, &pe):
-		return api.CodeInternal
-	case errors.As(err, &se) && se.code == http.StatusBadRequest:
-		return api.CodeBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return api.CodeTimeout
-	case errors.Is(err, context.Canceled):
-		return api.CodeCanceled
-	case errors.Is(err, errOverloaded):
-		return api.CodeOverloaded
-	case errors.Is(err, errShuttingDown):
-		return api.CodeShuttingDown
-	default:
-		return api.CodeInternal
-	}
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	code := httpStatus(err)
-	if (code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable) &&
-		w.Header().Get("Retry-After") == "" {
-		// Both conditions are transient; tell well-behaved clients when to
-		// come back instead of letting them busy-spin. A handler that set
-		// its own (adaptive) hint keeps it.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	}
-	writeJSON(w, code, api.Error{Code: errorCode(err), Error: err.Error()})
-}
-
-// config resolves the request's config override against the default.
-func (s *Server) config(override *cpu.Config) cpu.Config {
-	if override != nil {
-		return *override
-	}
-	return cpu.DefaultConfig()
-}
-
-// timeout resolves a request's timeout_ms against the server default.
-func (s *Server) timeout(ms int64) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return s.cfg.DefaultTimeout
-}
-
-// requestTimeout resolves the effective deadline of a request: the
-// tighter of its timeout_ms and the propagated X-Deadline-Ms budget. A
-// budget too small to fit any work rejects the request outright
-// (errDeadlineBudget, 504) — cancelling doomed work at admission instead
-// of discovering the blown deadline after a simulation slot was burned.
-func (s *Server) requestTimeout(r *http.Request, ms int64) (time.Duration, error) {
-	d := s.timeout(ms)
-	if budget, ok := deadlineBudget(r); ok {
-		if budget < minDeadlineBudget {
-			s.deadlineRejected.Add(1)
-			return 0, errDeadlineBudget
-		}
-		if budget < d {
-			d = budget
-		}
-	}
-	return d, nil
-}
+func (s *Server) stop() { s.pool.Close() }
 
 // ---- cell execution ----
 
@@ -471,30 +221,81 @@ const (
 	admitQueue
 )
 
-// runCell answers one (workload, technique, config) cell: from the result
-// cache when possible, otherwise via single-flight on the cell's content
-// address and a worker-pool simulation. The result stored and returned is
-// canonical (deterministic), so repeated requests are byte-identical. A
-// non-nil so selects the sampled path: the cell's content address includes
-// the sampling options, so sampled and exact results never share a cache
-// line or a single-flight. A non-nil pub streams the cell's lifecycle and
-// telemetry to its job's subscribers; cells answered without running here
-// (cache hits, single-flight followers) replay their stored series instead.
+// sim answers an interactive /v1/sim cell behind the admission gate.
+func (s *Server) sim(ctx context.Context, c cell, _ api.SimRequest) (resp api.SimResponse, err error) {
+	err = s.admit(func() error {
+		resp, err = s.run(ctx, c, admitShed, nil)
+		return err
+	})
+	return resp, err
+}
+
+// batch answers a batch. A synchronous one is admitted like /v1/sim, and
+// with the queue already full it would park its every cell behind it, so
+// it is shed up front instead of stalling the connection. Async batches
+// were answered 202 already; their cells queue in the background by
+// design.
+func (s *Server) batch(ctx context.Context, req api.BatchRequest, j *job) (out *api.BatchResponse, err error) {
+	if j != nil {
+		return s.runBatch(ctx, req, j)
+	}
+	if s.pool.Saturated() {
+		s.pool.shed.Add(1)
+		s.adm.Overload()
+		return nil, errOverloaded
+	}
+	err = s.admit(func() error {
+		out, err = s.runBatch(ctx, req, nil)
+		return err
+	})
+	return out, err
+}
+
+// admit runs an interactive request behind the AIMD admission gate (429
+// when the limit is reached) and feeds its outcome back: a queue that
+// filled behind the gate is congestion evidence to cut on, a completion
+// earns an additive step.
+func (s *Server) admit(fn func() error) error {
+	if !s.adm.Acquire() {
+		s.pool.shed.Add(1)
+		return fmt.Errorf("%w (admission limit)", errOverloaded)
+	}
+	defer s.adm.Release()
+	err := fn()
+	switch {
+	case err == nil:
+		s.adm.Success()
+	case errors.Is(err, errOverloaded):
+		s.adm.Overload()
+	}
+	return err
+}
+
+// runCell resolves and answers one cell; see run.
 func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cfg cpu.Config, so *api.SamplingOptions, adm admission, pub *cellPub) (api.SimResponse, error) {
-	if _, err := experiments.ParseTechnique(tech); err != nil {
-		return api.SimResponse{}, badRequest(err)
-	}
-	spec, err := workloads.Resolve(ref)
+	c, err := resolveCell(ref, tech, cfg, so)
 	if err != nil {
-		return api.SimResponse{}, badRequest(err)
+		return api.SimResponse{}, err
 	}
-	// Resolve normalized the ROI (0 -> kernel default); key the normalized
-	// form so explicit-default and defaulted requests share a cache line.
-	key := CacheKeySampled(spec.Ref, tech, cfg, so)
+	return s.run(ctx, c, adm, pub)
+}
+
+// run answers one resolved cell: from the result cache when possible,
+// otherwise via single-flight on the cell's content address and a
+// worker-pool simulation. The result stored and returned is canonical
+// (deterministic), so repeated requests are byte-identical. A non-nil
+// c.so selects the sampled path: the cell's content address includes the
+// sampling options, so sampled and exact results never share a cache line
+// or a single-flight. A non-nil pub streams the cell's lifecycle and
+// telemetry to its job's subscribers; cells answered without running here
+// (cache hits, single-flight followers) replay their stored series
+// instead.
+func (s *Server) run(ctx context.Context, c cell, adm admission, pub *cellPub) (api.SimResponse, error) {
+	key := c.key
 	pub.publish(api.Event{Kind: api.EventCellStarted, Key: key})
 	if res, ok := s.cache.Get(key); ok {
 		obs.FromContext(ctx).StartChild("worker.cache-hit").
-			Attr("key", key).Attr("bench", ref.Kernel).Attr("technique", tech).End()
+			Attr("key", key).Attr("bench", c.spec.Ref.Kernel).Attr("technique", c.tech).End()
 		s.replayTrace(pub, key, true)
 		return api.SimResponse{Key: key, Cached: true, Result: res}, nil
 	}
@@ -505,7 +306,7 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 		if res, ok := s.cache.Peek(key); ok {
 			return res, nil
 		}
-		runSpec := s.bases.memoize(spec)
+		runSpec := s.bases.memoize(c.spec)
 		var (
 			out    cpu.Result
 			runErr error
@@ -526,12 +327,12 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 			s.cfg.Faults.Sim(key)
 			simStart := time.Now()
 			ssp := parent.StartChild("worker.sim").
-				Attr("key", key).Attr("bench", ref.Kernel).Attr("technique", tech)
-			if so != nil {
-				out, runErr = s.simulateSampled(ctx, runSpec, tech, cfg, so)
+				Attr("key", key).Attr("bench", c.spec.Ref.Kernel).Attr("technique", c.tech)
+			if c.so != nil {
+				out, runErr = s.simulateSampled(ctx, runSpec, c.tech, c.cfg, c.so)
 				ssp.Attr("sampled", "true")
 			} else {
-				out, runErr = s.simulate(ctx, key, runSpec, tech, cfg, pub)
+				out, runErr = s.simulate(ctx, key, runSpec, c.tech, c.cfg, pub)
 			}
 			ssp.Fail(runErr).End()
 			sp.addSim(time.Since(simStart))
@@ -575,7 +376,7 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 			// exists for: breadcrumb the event into the ring, then seal the
 			// ring to disk while the evidence is fresh.
 			s.tracer.Event(obs.FromContext(ctx).TraceID(), "panic", pe.Error())
-			s.dumpFlight("panic")
+			s.DumpFlight("panic")
 		}
 		return api.SimResponse{}, err
 	}
@@ -590,258 +391,56 @@ func (s *Server) runCell(ctx context.Context, ref workloads.Ref, tech string, cf
 	return api.SimResponse{Key: key, Cached: false, Result: res}, nil
 }
 
-// runBatch answers a batch's cell list (the Workloads×Techniques matrix
-// row-major, or the explicit Cells form — see api.BatchRequest.CellList).
-// Cells run concurrently (the pool bounds actual simulation parallelism).
-// A recovered worker panic fails only its own cell — the cell carries a
-// typed api.Error and the rest of the batch completes — while systemic
-// failures (deadline, shutdown) cancel the batch.
+// runBatch answers a batch's cells concurrently (the pool bounds actual
+// simulation parallelism). A recovered worker panic or a watchdog trip
+// fails only its own cell — the cell carries a typed api.Error and the
+// rest of the batch completes — while systemic failures (deadline,
+// shutdown) cancel the batch.
 func (s *Server) runBatch(ctx context.Context, req api.BatchRequest, j *job) (*api.BatchResponse, error) {
-	cfg := s.config(req.Config)
-	list := req.CellList()
-	// Validate every cell up front so a malformed one is a clean 400
-	// before any simulation starts.
-	for _, c := range list {
-		if _, err := experiments.ParseTechnique(c.Technique); err != nil {
-			return nil, badRequest(err)
-		}
-		if _, err := workloads.Resolve(c.Workload); err != nil {
-			return nil, badRequest(err)
-		}
+	cells, err := resolveCells(req)
+	if err != nil {
+		return nil, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cells := make([]api.SimResponse, len(list))
+	out := make([]api.SimResponse, len(cells))
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	for idx, cell := range list {
-		idx, ref, tech := idx, cell.Workload, cell.Technique
+	for idx, c := range cells {
+		idx, c := idx, c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var pub *cellPub
-			if j != nil {
-				pub = &cellPub{j: j, cell: idx, bench: ref.Kernel, tech: tech}
-			}
-			resp, err := s.runCell(ctx, ref, tech, cfg, req.Sampling, admitQueue, pub)
+			pub := j.cellPub(idx, c.spec.Ref.Kernel, c.tech)
+			resp, err := s.run(ctx, c, admitQueue, pub)
 			if err != nil {
 				var (
 					pe *PanicError
 					le *cpu.LivelockError
 				)
-				if errors.As(err, &pe) || errors.As(err, &le) {
-					// Isolated crash or wedge of this one cell: report
-					// it in place and let the rest of the batch finish.
-					key := CacheKeySampled(ref, tech, cfg, req.Sampling)
-					cells[idx] = api.SimResponse{
-						Key:   key,
-						Error: &api.Error{Code: api.CodeInternal, Error: err.Error()},
-					}
-					if j != nil {
-						done := j.cellDone()
-						pub.publish(api.Event{Kind: api.EventCellDone, Key: key,
-							Error: err.Error(), Done: done, Total: j.total})
-					}
+				if !errors.As(err, &pe) && !errors.As(err, &le) {
+					errOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
 					return
 				}
-				errOnce.Do(func() {
-					firstErr = err
-					cancel()
-				})
-				return
+				// Isolated crash or wedge of this one cell: report it in
+				// place and let the rest of the batch finish.
+				resp = api.SimResponse{Key: c.key, Error: &api.Error{Code: api.CodeInternal, Error: err.Error()}}
 			}
-			cells[idx] = resp
-			if j != nil {
-				done := j.cellDone()
-				pub.publish(api.Event{Kind: api.EventCellDone, Key: resp.Key,
-					Cached: resp.Cached, Done: done, Total: j.total})
-			}
+			out[idx] = resp
+			pub.done(resp)
 		}()
 	}
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	out := &api.BatchResponse{Cells: cells}
-	for _, c := range cells {
-		if c.Cached {
-			out.CacheHits++
-		}
-		if c.Error != nil {
-			out.Failed++
-		}
-	}
-	return out, nil
-}
-
-// ---- handlers ----
-
-func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req api.SimRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	d, err := s.requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.adm.Acquire() {
-		s.pool.shed.Add(1)
-		writeError(w, fmt.Errorf("%w (admission limit)", errOverloaded))
-		return
-	}
-	defer s.adm.Release()
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	resp, err := s.runCell(ctx, req.Workload, req.Technique, s.config(req.Config), req.Sampling, admitShed, nil)
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			// The queue itself filled behind the admission gate: congestion
-			// evidence the controller should cut on.
-			s.adm.Overload()
-		}
-		writeError(w, err)
-		return
-	}
-	s.adm.Success()
-	writeJSONTimed(r.Context(), w, http.StatusOK, resp)
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, badRequest(fmt.Errorf("service: bad request body: %w", err)))
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, badRequest(err))
-		return
-	}
-	if h := r.Header.Get(api.HeaderIdempotencyKey); h != "" {
-		req.IdempotencyKey = h
-	}
-	// Coarse admission: with the queue already full, a synchronous batch
-	// would park its every cell behind it — shed the whole request up
-	// front instead of stalling the connection. (Async batches return 202
-	// immediately; their cells queue in the background by design.)
-	if !req.Async && s.pool.Saturated() {
-		s.pool.shed.Add(1)
-		s.adm.Overload()
-		writeError(w, errOverloaded)
-		return
-	}
-	if req.Async {
-		j, created := s.jobs.create(len(req.CellList()), req.IdempotencyKey, s.streams)
-		if !created {
-			// A retried submission: the original job answers it. A key
-			// reused for a *different* batch is a client bug worth a loud
-			// error rather than silently serving unrelated results.
-			if j.total != len(req.CellList()) {
-				writeError(w, badRequest(fmt.Errorf("service: idempotency key %q was used for a different batch (%d cells, resubmission has %d)",
-					req.IdempotencyKey, j.total, len(req.CellList()))))
-				return
-			}
-			writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id, Deduped: true})
-			return
-		}
-		// Async jobs outlive their submitting connection but not the
-		// process: they derive from rootCtx so Abort (the in-process kill)
-		// stops them at the next cancellation check. The accepting
-		// request's trace identity is copied over explicitly — rootCtx
-		// knows nothing of the connection — so the job's cell spans stay
-		// children of the submitter's trace.
-		jsp := obs.FromContext(r.Context()).StartChild("worker.job").Attr("job_id", j.id)
-		j.setTrace(jsp.TraceID())
-		ctx := obs.ContextWithSpan(
-			obs.ContextWithRequestID(s.rootCtx, obs.RequestIDFrom(r.Context())), jsp)
-		var cancel context.CancelFunc = func() {}
-		if req.TimeoutMS > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
-		}
-		s.jobs.wg.Add(1)
-		go func() {
-			defer s.jobs.wg.Done()
-			defer cancel()
-			batch, err := s.runBatch(ctx, req, j)
-			jsp.Fail(err).End()
-			j.finish(batch, err)
-			if j.bc != nil {
-				// Terminal event, then close: subscribers drain whatever is
-				// buffered (ending with job-done) and see a clean stream end.
-				ev := api.Event{Kind: api.EventJobDone, Done: j.doneCount(), Total: j.total}
-				if err != nil {
-					ev.Error = err.Error()
-				}
-				ev.Cell = -1
-				j.bc.Publish(ev)
-				j.bc.Close()
-			}
-		}()
-		writeJSON(w, http.StatusAccepted, api.BatchResponse{JobID: j.id})
-		return
-	}
-	d, err := s.requestTimeout(r, req.TimeoutMS)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	if !s.adm.Acquire() {
-		s.pool.shed.Add(1)
-		writeError(w, fmt.Errorf("%w (admission limit)", errOverloaded))
-		return
-	}
-	defer s.adm.Release()
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	batch, err := s.runBatch(ctx, req, nil)
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.adm.Overload()
-		}
-		writeError(w, err)
-		return
-	}
-	s.adm.Success()
-	writeJSONTimed(r.Context(), w, http.StatusOK, *batch)
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobs.get(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", r.PathValue("id"))})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// handleReadyz is the routing gate: liveness (/healthz) says "don't kill
-// me", readiness says "send me work". They diverge exactly during a
-// graceful drain — the process is alive finishing owned work but must not
-// receive new cells. The unready answer is typed JSON (like every other
-// error this server emits) so a prober can read the reason, not just the
-// status.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		writeJSON(w, http.StatusServiceUnavailable, api.Error{Code: api.CodeShuttingDown, Error: "service: draining"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ready")
+	return batchOf(out), nil
 }
 
 // Metrics snapshots the service counters. The cache pair is read under
@@ -914,48 +513,9 @@ func (s *Server) Metrics() api.Metrics {
 	}
 }
 
-// ---- flight recorder ----
-
-// DumpFlight seals the span collector's flight record — the ring of the
-// last N finished spans plus error events — to
-// <CacheDir>/forensics/flight-<reason>-<µs>.json and returns the path.
-// The payload is integrity-sealed like a checkpoint (payload + sha256
-// footer; checkpoint.Unseal verifies), so a post-mortem can trust a dump
-// that survived the crash it documents. Returns "" (and writes nothing)
-// when tracing is disabled or no CacheDir is configured. cmd/dvrd calls
-// this on SIGTERM; the watchdog and panic paths call it in-process.
-func (s *Server) DumpFlight(reason string) string { return s.dumpFlight(reason) }
-
-func (s *Server) dumpFlight(reason string) string {
-	return dumpFlight(s.tracer, s.cfg.CacheDir, reason, s.logger)
-}
-
-// dumpFlight is the role-agnostic flight-recorder dump shared by the
-// worker Server (rooted at CacheDir) and the cluster Frontend (rooted at
-// LedgerDir). Best-effort by contract: a failed dump must never worsen
-// the crash being documented, so every error path just returns "".
-func dumpFlight(tracer *obs.Tracer, dir, reason string, logger *slog.Logger) string {
-	if tracer == nil || dir == "" {
-		return ""
-	}
-	fr := tracer.Flight(reason)
-	payload, err := json.MarshalIndent(fr, "", "  ")
-	if err != nil {
-		return ""
-	}
-	fdir := filepath.Join(dir, "forensics")
-	if err := os.MkdirAll(fdir, 0o755); err != nil {
-		return ""
-	}
-	path := filepath.Join(fdir, fmt.Sprintf("flight-%s-%d.json", reason, fr.DumpedAtUS))
-	if err := os.WriteFile(path, checkpoint.Seal(payload), 0o644); err != nil {
-		return ""
-	}
-	if logger != nil {
-		logger.Info("flight recorder dump",
-			"reason", reason, "path", path, "spans", len(fr.Spans), "dropped", fr.Dropped)
-	}
-	return path
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.Metrics()
+	serveMetrics(w, r, m, func(w io.Writer, om bool) { writePrometheus(w, m, s.reqHist, s.queueHist, om) })
 }
 
 // ---- built-workload memoization ----

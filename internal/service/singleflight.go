@@ -33,7 +33,7 @@ func newFlightGroup[T any]() *flightGroup[T] {
 // which case it waits for that flight. It returns fn's (or the flight's)
 // result and whether this caller was a follower. A leader whose fn fails
 // delivers the error to every follower; followers whose own context is
-// still live retry once as a potential new leader (Server.runCell does
+// still live retry once as a potential new leader (Server.run does
 // this, counted at /metrics as single_flight_retries; the cache absorbs
 // the common case where the leader succeeded).
 func (g *flightGroup[T]) Do(ctx context.Context, key string, fn func() (T, error)) (res T, shared bool, err error) {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"dvr/internal/service/api"
 	"dvr/internal/stream"
@@ -25,13 +24,22 @@ import (
 // are what let the simulation stay bit-identical under observation.
 
 // cellPub carries one batch cell's streaming identity down through
-// runCell into the simulation's trace hooks. A nil *cellPub (interactive
+// Server.run into the simulation's trace hooks. A nil *cellPub (interactive
 // /v1/sim, sync batches, checkpoint resume) publishes nothing.
 type cellPub struct {
 	j     *job
 	cell  int
 	bench string
 	tech  string
+}
+
+// cellPub returns the streaming identity of cell idx of j; nil (which
+// publishes nothing) when j is nil — a synchronous batch.
+func (j *job) cellPub(idx int, bench, tech string) *cellPub {
+	if j == nil {
+		return nil
+	}
+	return &cellPub{j: j, cell: idx, bench: bench, tech: tech}
 }
 
 // live reports whether events published through p can reach a stream.
@@ -56,6 +64,21 @@ func (p *cellPub) publish(ev api.Event) {
 		p.j.intervals.Add(1)
 	}
 	p.j.bc.Publish(ev)
+}
+
+// done records the cell as final on its job and publishes its cell-done.
+// The caller that decides a cell is final calls it exactly once: on the
+// frontend that is after any re-route, so a re-routed group's first
+// attempt never counts.
+func (p *cellPub) done(resp api.SimResponse) {
+	if p == nil {
+		return
+	}
+	ev := api.Event{Kind: api.EventCellDone, Key: resp.Key, Cached: resp.Cached, Done: p.j.cellDone(), Total: p.j.total}
+	if resp.Error != nil {
+		ev.Error = resp.Error.Error
+	}
+	p.publish(ev)
 }
 
 // traceHooks returns the live OnInterval/OnEvent hooks for one cell, or
@@ -177,25 +200,19 @@ func filterFor(opts api.StreamOptions) func(api.Event) bool {
 // replay window), its kind as the SSE event name, and the api.Event JSON
 // as data. Idle periods are bridged with comment heartbeats so proxies
 // do not reap the connection. The stream ends after the job's terminal
-// event (job-done) has been delivered and the broadcaster closed.
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	streamJob(w, r, s.jobs, s.cfg.StreamHeartbeat)
-}
-
-// streamJob is the role-agnostic SSE serving loop, shared by the worker
-// Server and the cluster Frontend (the frontend republishes its workers'
-// events into its own jobs' broadcasters, so subscribers see one stream
-// regardless of which replica simulates which cell).
-func streamJob(w http.ResponseWriter, r *http.Request, jobs *jobStore, hb time.Duration) {
+// event (job-done) has been delivered and the broadcaster closed. The
+// frontend republishes its workers' events into its own jobs'
+// broadcasters, so subscribers see one stream regardless of which
+// replica simulates which cell.
+func (c *core) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	j, ok := jobs.get(id)
+	j, ok := c.jobs.get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound, Error: fmt.Sprintf("service: unknown job %q", id)})
+		writeNotFound(w, fmt.Sprintf("service: unknown job %q", id))
 		return
 	}
 	if j.bc == nil {
-		writeJSON(w, http.StatusNotFound, api.Error{Code: api.CodeNotFound,
-			Error: fmt.Sprintf("service: job %q has no stream", id)})
+		writeNotFound(w, fmt.Sprintf("service: job %q has no stream", id))
 		return
 	}
 	opts, err := parseStreamOptions(r)
@@ -224,7 +241,7 @@ func streamJob(w http.ResponseWriter, r *http.Request, jobs *jobStore, hb time.D
 	fl.Flush()
 
 	for {
-		ctx, cancel := context.WithTimeout(r.Context(), hb)
+		ctx, cancel := context.WithTimeout(r.Context(), c.heartbeat)
 		ev, err := sess.Next(ctx)
 		cancel()
 		switch {

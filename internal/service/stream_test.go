@@ -407,11 +407,13 @@ func TestJobStatusLiveProgress(t *testing.T) {
 	}
 }
 
-// TestStreamTypedErrors: every non-2xx body this server can produce is a
+// TestStreamTypedErrors: every non-2xx body either role can produce is a
 // typed api.Error — including the mux's own 404/405 pages and the stream
 // endpoint's validation failures.
 func TestStreamTypedErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	c := newTestCluster(t, 1, Config{}, nil)
+	roles := []struct{ name, url string }{{"worker", ts.URL}, {"frontend", c.feTS.URL}}
 	cases := []struct {
 		name   string
 		method string
@@ -426,49 +428,55 @@ func TestStreamTypedErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, body)
-			}
-			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-				t.Fatalf("content type %q, want JSON (%s)", ct, body)
-			}
-			var ae api.Error
-			if err := json.Unmarshal(body, &ae); err != nil {
-				t.Fatalf("body is not a typed error: %v (%s)", err, body)
-			}
-			if ae.Code != tc.code {
-				t.Errorf("code %q, want %q", ae.Code, tc.code)
-			}
-			if ae.Error == "" {
-				t.Error("typed error has no message")
+			for _, role := range roles {
+				t.Run(role.name, func(t *testing.T) {
+					req, err := http.NewRequest(tc.method, role.url+tc.path, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != tc.status {
+						t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.status, body)
+					}
+					if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+						t.Fatalf("content type %q, want JSON (%s)", ct, body)
+					}
+					var ae api.Error
+					if err := json.Unmarshal(body, &ae); err != nil {
+						t.Fatalf("body is not a typed error: %v (%s)", err, body)
+					}
+					if ae.Code != tc.code {
+						t.Errorf("code %q, want %q", ae.Code, tc.code)
+					}
+					if ae.Error == "" {
+						t.Error("typed error has no message")
+					}
+				})
 			}
 		})
 	}
 	t.Run("bad stream options", func(t *testing.T) {
-		srv, ts := newTestServer(t, Config{})
-		jobID := startAsyncBatch(t, ts.URL, api.BatchRequest{
-			Workloads: []workloads.Ref{loopRef(5_000)}, Techniques: []string{"ooo"},
-		})
-		_ = srv
-		resp, body := getBody(t, ts.URL+"/v1/jobs/"+jobID+"/stream?kinds=bogus")
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+		for _, role := range roles {
+			t.Run(role.name, func(t *testing.T) {
+				jobID := startAsyncBatch(t, role.url, api.BatchRequest{
+					Workloads: []workloads.Ref{loopRef(5_000)}, Techniques: []string{"ooo"},
+				})
+				resp, body := getBody(t, role.url+"/v1/jobs/"+jobID+"/stream?kinds=bogus")
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, body)
+				}
+				var ae api.Error
+				if err := json.Unmarshal(body, &ae); err != nil || ae.Code != api.CodeBadRequest {
+					t.Fatalf("bad options not a typed bad_request: %v %s", err, body)
+				}
+				waitJobDone(t, role.url, jobID)
+			})
 		}
-		var ae api.Error
-		if err := json.Unmarshal(body, &ae); err != nil || ae.Code != api.CodeBadRequest {
-			t.Fatalf("bad options not a typed bad_request: %v %s", err, body)
-		}
-		waitJobDone(t, ts.URL, jobID)
 	})
 }
 
